@@ -1,6 +1,6 @@
 //! Subcommand implementations.
 
-use crate::args::Args;
+use crate::args::{Args, ArgsError};
 use hdc::binary::BinaryClassifier;
 use hdc::io::{load_any, save_pixel_classifier};
 use hdc::prelude::*;
@@ -294,6 +294,12 @@ pub fn fuzz(args: Args) -> CliResult {
     let images_path = args.required("images")?.to_owned();
     let strategy = parse_strategy(args.get("strategy").unwrap_or("gauss"))?;
     let budget: f64 = args.get_or("budget", 1.0)?;
+    if !(budget.is_finite() && budget > 0.0) {
+        return Err(ArgsError(format!(
+            "flag --budget: the L2 budget must be a positive, finite number, got '{budget}'"
+        ))
+        .into());
+    }
     let count: usize = args.get_or("count", usize::MAX)?;
     let seed: u64 = args.get_or("seed", 1234)?;
     let unguided: bool = args.get_or("unguided", false)?;

@@ -8,12 +8,37 @@
 //! ```text
 //! ImgHV = bipolarize( Σᵢ  PosHV[i] ⊛ ValHV[pixel[i]] )
 //! ```
+//!
+//! Bundling is a sum, so an encode need not start from an empty counter.
+//! Each encode starts from the exact state that needs the fewest row adds:
+//!
+//! * zero — one `PosHV[i] ⊛ ValHV[pixel[i]]` add per pixel (n adds);
+//! * the blank (all-background) image's bundle, built once per encoder —
+//!   each ink pixel adds the complement of its background row, which
+//!   removes it, then its own row (2 adds per ink pixel);
+//! * the bundle of any of the last [`MATES`] inputs of the same
+//!   [`encode_batch`](Encoder::encode_batch) call, moving only the pixels
+//!   whose level differs (2 adds per differing pixel). Fuzz candidates of
+//!   one round are mutants of a few survivors, so siblings differ little.
+//!
+//! A counter that started from `n` rows and took `k` complement-and-add
+//! pairs holds `c + k` ones per component at count `n + 2k`, where `c` is
+//! the count from zero. Its bipolar sums `2c − n` are unchanged, so the
+//! plain [`BitCounter::bipolarize_packed`] (threshold `count / 2`, parity
+//! tie-break at even counts) gives the full encode's bits exactly. That
+//! holds because the count is only ever the number of vectors added and
+//! every added vector has its tail bits cleared.
 
 use crate::encoder::Encoder;
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
 use crate::kernel::{self, BitCounter};
 use crate::memory::{ItemMemory, LevelMemory, ValueEncoding};
+
+/// How many earlier inputs of one `encode_batch` call an encode may start
+/// from. A default fuzz round holds 9 candidates, so the last one can start
+/// from any of the 8 before it.
+const MATES: usize = 8;
 
 /// Configuration for [`PixelEncoder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +72,76 @@ impl Default for PixelEncoderConfig {
     }
 }
 
+impl PixelEncoderConfig {
+    /// Checks, with overflow-checked arithmetic and before anything is
+    /// allocated, that the item memories fit under
+    /// [`PixelEncoder::MAX_ITEM_COMPONENTS`]. That bounds `width`, `height`
+    /// and `levels` too, as each factor is at least 1 in a usable config.
+    pub(crate) fn check_size(&self) -> Result<(), HdcError> {
+        let components = self
+            .width
+            .checked_mul(self.height)
+            .and_then(|pixels| pixels.checked_add(self.levels))
+            .and_then(|items| items.checked_mul(self.dim));
+        match components {
+            Some(components) if components <= PixelEncoder::MAX_ITEM_COMPONENTS => Ok(()),
+            _ => Err(HdcError::Corrupt(format!(
+                "implausible pixel encoder: ({} × {} pixels + {} levels) × D = {} exceeds {} \
+                 item-memory components",
+                self.width,
+                self.height,
+                self.levels,
+                self.dim,
+                PixelEncoder::MAX_ITEM_COMPONENTS
+            ))),
+        }
+    }
+}
+
+/// An exact start state for an encode: an image's quantized levels and the
+/// flushed counter holding its bundle (planes and count only).
+#[derive(Debug, Clone)]
+struct Start {
+    levels: Vec<u8>,
+    counter: BitCounter,
+}
+
+impl Start {
+    fn new(levels: Vec<u8>, flushed: &BitCounter) -> Self {
+        let mut counter = BitCounter::new(flushed.dim());
+        counter.copy_from(flushed);
+        Self { levels, counter }
+    }
+}
+
+/// Scratch for one `encode`/`encode_batch` call: the working counter, the
+/// current input's levels, and the start states of the call's last
+/// [`MATES`] inputs (a ring, oldest overwritten first).
+struct Scratch {
+    counter: BitCounter,
+    levels: Vec<u8>,
+    mates: Vec<Start>,
+    remembered: usize,
+}
+
+impl Scratch {
+    fn new(dim: usize) -> Self {
+        Self { counter: BitCounter::new(dim), levels: Vec::new(), mates: Vec::new(), remembered: 0 }
+    }
+
+    /// Keeps the input just encoded as a start state for later inputs.
+    fn remember(&mut self) {
+        if self.mates.len() < MATES {
+            self.mates.push(Start::new(self.levels.clone(), &self.counter));
+        } else {
+            let mate = &mut self.mates[self.remembered % MATES];
+            mate.levels.copy_from_slice(&self.levels);
+            mate.counter.copy_from(&self.counter);
+        }
+        self.remembered += 1;
+    }
+}
+
 /// Encodes flattened greyscale images (`&[u8]`, row-major) into
 /// hypervectors per the paper's §III-A pipeline.
 ///
@@ -66,18 +161,31 @@ impl Default for PixelEncoderConfig {
 pub struct PixelEncoder {
     positions: ItemMemory,
     values: LevelMemory,
+    /// The all-background image: every level 0.
+    blank: Start,
     config: PixelEncoderConfig,
 }
 
 impl PixelEncoder {
+    /// The cap on `(width·height + levels)·dim`, the item memories'
+    /// component count: 2^30, about 1.2 GB with packed mirrors. The paper's
+    /// MNIST configuration (28 × 28 pixels, 256 levels, D = 10,000) needs
+    /// 10.4M, so every model `hdtest-cli train` writes with its defaults
+    /// passes with a 100× margin.
+    pub const MAX_ITEM_COMPONENTS: usize = 1 << 30;
+
     /// Generates the position memory (`width × height` entries) and value
-    /// memory (`levels` entries) from `config.seed`.
+    /// memory (`levels` entries) from `config.seed`, and bundles the blank
+    /// image once as the start state of sparse encodes.
     ///
     /// # Errors
     ///
-    /// Returns [`HdcError::ZeroDimension`] / [`HdcError::EmptyMemory`] when
+    /// Returns [`HdcError::Corrupt`] when `(width·height + levels)·dim`
+    /// overflows or exceeds [`MAX_ITEM_COMPONENTS`](Self::MAX_ITEM_COMPONENTS),
+    /// and [`HdcError::ZeroDimension`] / [`HdcError::EmptyMemory`] when
     /// `dim`, `width × height`, or `levels` is zero.
     pub fn new(config: PixelEncoderConfig) -> Result<Self, HdcError> {
+        config.check_size()?;
         let pixels = config.width * config.height;
         let positions = ItemMemory::new(pixels, config.dim, config.seed, "pixel-position")?;
         let values = LevelMemory::new(
@@ -87,7 +195,14 @@ impl PixelEncoder {
             config.seed,
             "pixel-value",
         )?;
-        Ok(Self { positions, values, config })
+        let mut counter = BitCounter::new(config.dim);
+        let background = values.get(0)?.packed().words();
+        for i in 0..pixels {
+            counter.add_bound(positions.get(i)?.packed().words(), background);
+        }
+        counter.flush();
+        let blank = Start::new(vec![0; pixels], &counter);
+        Ok(Self { positions, values, blank, config })
     }
 
     /// The configuration this encoder was built with.
@@ -142,25 +257,56 @@ impl PixelEncoder {
     /// mirrors fuse straight into the bit-sliced bundle counter
     /// ([`BitCounter::add_bound`] — the bound vector never exists outside
     /// it); the bundle bipolarizes by word-parallel threshold comparison,
-    /// never materializing integer sums. Exactly equivalent (bit-for-bit,
-    /// including parity ties) to the scalar `sums[d] += pos[d] * val[d]` +
-    /// `bipolarize_sums` pipeline it replaced.
-    fn encode_with_scratch(
-        &self,
-        pixels: &[u8],
-        counter: &mut BitCounter,
-    ) -> Result<Hypervector, HdcError> {
+    /// never materializing integer sums. The counter starts from the
+    /// cheapest exact state (see the [module docs](self)). Bit-for-bit
+    /// equal, including parity ties, to [`encode_reference`](Self::encode_reference).
+    fn encode_into(&self, pixels: &[u8], scratch: &mut Scratch) -> Result<Hypervector, HdcError> {
         let expected = self.pixel_count();
         if pixels.len() != expected {
             return Err(HdcError::InputShapeMismatch { expected, actual: pixels.len() });
         }
-        counter.clear();
-        for (i, &p) in pixels.iter().enumerate() {
-            let pos = self.positions.get(i)?.packed();
-            let val = self.values.get(self.quantize(p))?.packed();
-            counter.add_bound(pos.words(), val.words());
+        let Scratch { counter, levels, mates, .. } = scratch;
+        levels.clear();
+        levels.extend(pixels.iter().map(|&p| {
+            u8::try_from(self.quantize(p)).expect("quantize maps a byte to a level below 256")
+        }));
+
+        let mut start = None;
+        let mut adds = expected;
+        for candidate in std::iter::once(&self.blank).chain(mates.iter()) {
+            let moves =
+                2 * candidate.levels.iter().zip(levels.iter()).filter(|(a, b)| a != b).count();
+            if moves < adds {
+                (start, adds) = (Some(candidate), moves);
+            }
+        }
+        match start {
+            None => {
+                counter.clear();
+                for (i, &level) in levels.iter().enumerate() {
+                    counter.add_bound(self.position(i)?, self.value(level)?);
+                }
+            }
+            Some(start) => {
+                counter.copy_from(&start.counter);
+                for (i, (&from, &to)) in start.levels.iter().zip(levels.iter()).enumerate() {
+                    if from != to {
+                        let position = self.position(i)?;
+                        counter.add_bound_complement(position, self.value(from)?);
+                        counter.add_bound(position, self.value(to)?);
+                    }
+                }
+            }
         }
         Ok(crate::encoder::finalize_counter(counter, self.config.dim))
+    }
+
+    fn position(&self, index: usize) -> Result<&[u64], HdcError> {
+        Ok(self.positions.get(index)?.packed().words())
+    }
+
+    fn value(&self, level: u8) -> Result<&[u64], HdcError> {
+        Ok(self.values.get(usize::from(level))?.packed().words())
     }
 
     /// Scalar reference encoding — the seed's `sums[d] += pos[d] * val[d]`
@@ -197,8 +343,7 @@ impl Encoder for PixelEncoder {
     }
 
     fn encode(&self, pixels: &[u8]) -> Result<Hypervector, HdcError> {
-        let mut counter = BitCounter::new(self.config.dim);
-        self.encode_with_scratch(pixels, &mut counter)
+        self.encode_into(pixels, &mut Scratch::new(self.config.dim))
     }
 
     fn warm_up(&self) {
@@ -206,10 +351,17 @@ impl Encoder for PixelEncoder {
     }
 
     fn encode_batch(&self, inputs: &[&[u8]]) -> Result<Vec<Hypervector>, HdcError> {
-        // One counter (bitplanes + CSA group buffer) serves the whole
-        // batch — the allocation share of per-query encode cost disappears.
-        let mut counter = BitCounter::new(self.config.dim);
-        inputs.iter().map(|pixels| self.encode_with_scratch(pixels, &mut counter)).collect()
+        // One scratch serves the whole batch: the counter's allocations
+        // are reused, and each input may start from an earlier one.
+        let mut scratch = Scratch::new(self.config.dim);
+        let mut out = Vec::with_capacity(inputs.len());
+        for (k, pixels) in inputs.iter().enumerate() {
+            out.push(self.encode_into(pixels, &mut scratch)?);
+            if k + 1 < inputs.len() {
+                scratch.remember();
+            }
+        }
+        Ok(out)
     }
 }
 

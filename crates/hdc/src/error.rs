@@ -46,7 +46,9 @@ pub enum HdcError {
     EmptyMemory,
     /// A persistence operation failed.
     Io(std::io::Error),
-    /// A persisted model file was malformed.
+    /// A persisted model file was malformed, or an encoder configuration
+    /// (read from one or built directly) asked for implausibly large item
+    /// memories.
     Corrupt(String),
 }
 

@@ -226,7 +226,9 @@ fn read_encoder_config<R: Read>(r: &mut R) -> Result<PixelEncoderConfig, HdcErro
     if dim == 0 || dim > 1 << 26 {
         return Err(HdcError::Corrupt(format!("implausible dimension {dim}")));
     }
-    Ok(PixelEncoderConfig { dim, width, height, levels, value_encoding, seed })
+    let config = PixelEncoderConfig { dim, width, height, levels, value_encoding, seed };
+    config.check_size()?;
+    Ok(config)
 }
 
 fn read_class_count<R: Read>(r: &mut R) -> Result<usize, HdcError> {

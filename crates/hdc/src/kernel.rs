@@ -502,6 +502,10 @@ fn full_add(a: u64, b: u64, c: u64) -> (u64, u64) {
 /// plane memory traffic ~4×. Finalizers ([`sums`](Self::sums),
 /// [`bipolarize_packed`](Self::bipolarize_packed), …) flush the partial
 /// group first, so results never depend on the buffering.
+///
+/// The add scratch (pending slots, CSA planes, carry) is allocated on the
+/// first add, so a counter that only ever receives
+/// [`copy_from`](Self::copy_from) holds just its planes and count.
 #[derive(Debug, Clone)]
 pub struct BitCounter {
     /// Flat plane storage: plane `k` occupies words
@@ -546,12 +550,11 @@ impl BitCounter {
     /// Panics if `dim` is zero.
     pub fn new_with_backend(dim: usize, backend: Backend) -> Self {
         assert!(dim > 0, "counter dimension must be non-zero");
-        let n_words = words_for(dim);
         Self {
             planes: Vec::new(),
-            pending: vec![0; CSA_GROUP * n_words],
-            csa: vec![0; 4 * n_words],
-            carry: vec![0; n_words],
+            pending: Vec::new(),
+            csa: Vec::new(),
+            carry: Vec::new(),
             n_planes: 0,
             n_pending: 0,
             dim,
@@ -586,6 +589,10 @@ impl BitCounter {
     #[inline]
     fn slot(&mut self) -> &mut [u64] {
         let n_words = words_for(self.dim);
+        if self.pending.is_empty() {
+            self.pending = vec![0; CSA_GROUP * n_words];
+            self.csa = vec![0; 4 * n_words];
+        }
         &mut self.pending[self.n_pending * n_words..(self.n_pending + 1) * n_words]
     }
 
@@ -617,6 +624,24 @@ impl BitCounter {
     ///
     /// Panics if either operand has the wrong word count.
     pub fn add_bound(&mut self, a: &[u64], b: &[u64]) {
+        self.add_xor_flip(a, b, !0);
+    }
+
+    /// Adds the complement `¬(a ⊛ b)` (packed XOR): per component it adds
+    /// `1 − x` where [`add_bound`](Self::add_bound) adds `x`. Removing a
+    /// bound vector from a bundle is adding its complement: the counts
+    /// then hold `c − x + 1` at a count two higher than without the pair,
+    /// so `2c − n`, and with it every finalizer's output, is unchanged.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either operand has the wrong word count.
+    pub fn add_bound_complement(&mut self, a: &[u64], b: &[u64]) {
+        self.add_xor_flip(a, b, 0);
+    }
+
+    /// Adds `a ^ b ^ flip` with the tail bits cleared.
+    fn add_xor_flip(&mut self, a: &[u64], b: &[u64], flip: u64) {
         let n_words = words_for(self.dim);
         assert_eq!(a.len(), n_words, "counter: word count mismatch");
         assert_eq!(b.len(), n_words, "counter: word count mismatch");
@@ -625,10 +650,10 @@ impl BitCounter {
         let slot = self.slot();
         match backend {
             #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => avx2::xnor_words_into(a, b, slot),
+            Backend::Avx2 => avx2::xor_flip_words_into(a, b, flip, slot),
             _ => {
                 for ((s, &x), &y) in slot.iter_mut().zip(a).zip(b) {
-                    *s = !(x ^ y);
+                    *s = x ^ y ^ flip;
                 }
             }
         }
@@ -690,6 +715,24 @@ impl BitCounter {
         self.ripple_from(0, bits);
     }
 
+    /// Makes this counter's bundle state (planes and count) equal to
+    /// `src`'s, reusing this counter's allocations. Further adds and
+    /// finalizers then behave exactly as on `src`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ or `src` holds unflushed adds
+    /// ([`flush`](Self::flush) it first).
+    pub fn copy_from(&mut self, src: &BitCounter) {
+        assert_eq!(self.dim, src.dim, "counter: dimension mismatch");
+        assert_eq!(src.n_pending, 0, "counter: copy from an unflushed counter");
+        self.planes.clear();
+        self.planes.extend_from_slice(&src.planes);
+        self.n_planes = src.n_planes;
+        self.n_pending = 0;
+        self.count = src.count;
+    }
+
     /// Compresses the full pending group through the CSA tree into four
     /// weight planes, then ripples each into the counter at its depth.
     fn flush_group(&mut self) {
@@ -727,9 +770,11 @@ impl BitCounter {
         self.csa = csa;
     }
 
-    /// Ripples a partial group (fewer than [`CSA_GROUP`] vectors — the
-    /// bundle tail) into the planes one vector at a time.
-    fn flush_pending(&mut self) {
+    /// Ripples the pending partial group (fewer than 8 buffered vectors —
+    /// the bundle tail) into the planes one vector at a time. Every
+    /// finalizer flushes first; call it directly before
+    /// [`copy_from`](Self::copy_from) reads this counter.
+    pub fn flush(&mut self) {
         if self.n_pending == 0 {
             return;
         }
@@ -752,7 +797,8 @@ impl BitCounter {
         if bits.iter().all(|&w| w == 0) {
             return;
         }
-        self.carry.copy_from_slice(bits);
+        self.carry.clear();
+        self.carry.extend_from_slice(bits);
         while self.n_planes < start {
             // Weight > 2^n_planes: interpose all-zero planes.
             self.planes.resize((self.n_planes + 1) * n_words, 0);
@@ -791,7 +837,7 @@ impl BitCounter {
     /// Panics if `out.len() != dim`.
     pub fn sums_into(&mut self, out: &mut [i32]) {
         assert_eq!(out.len(), self.dim, "counter: output length mismatch");
-        self.flush_pending();
+        self.flush();
         let n_words = words_for(self.dim);
         let n = self.count as i32;
         out.fill(-n);
@@ -822,7 +868,7 @@ impl BitCounter {
     /// [`from_set_counts`](Self::from_set_counts) reconstructs an
     /// equivalent counter from it.
     pub fn set_counts(&mut self) -> Vec<u64> {
-        self.flush_pending();
+        self.flush();
         let n_words = words_for(self.dim);
         let mut out = vec![0u64; self.dim];
         for k in 0..self.n_planes {
@@ -912,7 +958,7 @@ impl BitCounter {
     /// count exceeds `threshold`. Backs binarized (majority) bundling,
     /// where ties resolve to `0`.
     pub fn threshold_packed(&mut self, threshold: u64) -> Vec<u64> {
-        self.flush_pending();
+        self.flush();
         let (mut gt, _) = self.compare_counts(threshold);
         mask_tail(&mut gt, self.dim);
         gt
@@ -924,7 +970,7 @@ impl BitCounter {
     /// `2c − n > 0 → 1`, `< 0 → 0`, `= 0 →` component parity (even → 1) —
     /// bit-identical to `bipolarize_sums(self.sums())`.
     pub fn bipolarize_packed(&mut self) -> Vec<u64> {
-        self.flush_pending();
+        self.flush();
         let threshold = (self.count / 2) as u64;
         let (mut out, eq) = self.compare_counts(threshold);
         // Ties (c == n/2, only possible for even n) break by parity:

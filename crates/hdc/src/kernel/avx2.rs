@@ -15,10 +15,10 @@
 //!    costs two loads + two movemasks + one NOT — the real instruction the
 //!    portable bit-matrix transpose emulates.
 //! 3. **Counter plane ops** ([`csa_compress8`], [`ripple_step`],
-//!    [`xnor_words_into`], [`xnor_words_assign`], [`compare_step_zero`],
+//!    [`xor_flip_words_into`], [`xnor_words_assign`], [`compare_step_zero`],
 //!    [`compare_step_one`]): the bitwise inner loops of
 //!    [`BitCounter`](super::BitCounter) — the 8:4 compressor, the
-//!    ripple-carry plane update, fused XNOR slot fills, and the
+//!    ripple-carry plane update, fused XNOR/XOR slot fills, and the
 //!    most-significant-first threshold compare — four words per operation.
 //!
 //! Every public function here is a **safe wrapper** that asserts the
@@ -33,8 +33,9 @@
 use core::arch::x86_64::{
     __m256i, _mm256_add_epi64, _mm256_add_epi8, _mm256_and_si256, _mm256_andnot_si256,
     _mm256_extract_epi64, _mm256_loadu_si256, _mm256_movemask_epi8, _mm256_or_si256,
-    _mm256_sad_epu8, _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256, _mm256_shuffle_epi8,
-    _mm256_srli_epi16, _mm256_storeu_si256, _mm256_testz_si256, _mm256_xor_si256,
+    _mm256_sad_epu8, _mm256_set1_epi64x, _mm256_set1_epi8, _mm256_setr_epi8, _mm256_setzero_si256,
+    _mm256_shuffle_epi8, _mm256_srli_epi16, _mm256_storeu_si256, _mm256_testz_si256,
+    _mm256_xor_si256,
 };
 
 use super::backend;
@@ -88,14 +89,15 @@ pub(super) fn pack_full_words(components: &[i8], words: &mut [u64]) {
     unsafe { pack_full_words_impl(components, words) }
 }
 
-/// `out[i] = !(a[i] ^ b[i])` — the packed bind (XNOR) into a slot.
+/// `out[i] = a[i] ^ b[i] ^ flip` — into a slot: the packed bind (XNOR)
+/// with `flip = !0`, its complement (XOR) with `flip = 0`.
 #[inline]
-pub(super) fn xnor_words_into(a: &[u64], b: &[u64], out: &mut [u64]) {
+pub(super) fn xor_flip_words_into(a: &[u64], b: &[u64], flip: u64, out: &mut [u64]) {
     assert_avx2();
     debug_assert_eq!(a.len(), b.len());
     debug_assert_eq!(a.len(), out.len());
     // SAFETY: AVX2 availability asserted above.
-    unsafe { xnor_words_into_impl(a, b, out) }
+    unsafe { xor_flip_words_into_impl(a, b, flip, out) }
 }
 
 /// `acc[i] = !(acc[i] ^ other[i])` — in-place packed bind.
@@ -312,19 +314,19 @@ unsafe fn pack_full_words_impl(components: &[i8], words: &mut [u64]) {
 }
 
 #[target_feature(enable = "avx2")]
-unsafe fn xnor_words_into_impl(a: &[u64], b: &[u64], out: &mut [u64]) {
+unsafe fn xor_flip_words_into_impl(a: &[u64], b: &[u64], flip: u64, out: &mut [u64]) {
     unsafe {
         let n = a.len();
         let (pa, pb, po) = (a.as_ptr(), b.as_ptr(), out.as_mut_ptr());
-        let ones = _mm256_set1_epi8(-1);
+        let flips = _mm256_set1_epi64x(flip.cast_signed());
         let mut i = 0usize;
         while i + LANE_WORDS <= n {
             let x = _mm256_xor_si256(load(pa.add(i)), load(pb.add(i)));
-            store(po.add(i), _mm256_xor_si256(x, ones));
+            store(po.add(i), _mm256_xor_si256(x, flips));
             i += LANE_WORDS;
         }
         while i < n {
-            *po.add(i) = !(*pa.add(i) ^ *pb.add(i));
+            *po.add(i) = *pa.add(i) ^ *pb.add(i) ^ flip;
             i += 1;
         }
     }

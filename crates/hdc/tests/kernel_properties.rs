@@ -7,7 +7,7 @@
 //! these tests are the contract that lets `dot`, `cosine`, `hamming`,
 //! `bind` and `permute` run on words without anyone downstream noticing.
 
-use hdc::kernel::{self, reference, BitCounter};
+use hdc::kernel::{self, reference, Backend, BitCounter};
 use hdc::Hypervector;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -18,6 +18,11 @@ const DIMS: [usize; 5] = [63, 64, 65, 127, 10_000];
 
 fn hv(dim: usize, seed: u64) -> Hypervector {
     Hypervector::random(dim, &mut StdRng::seed_from_u64(seed))
+}
+
+/// Every compiled tier the running CPU can execute.
+fn runnable_backends() -> Vec<Backend> {
+    Backend::compiled().iter().copied().filter(|b| b.supported()).collect()
 }
 
 proptest! {
@@ -196,12 +201,6 @@ proptest! {
 /// stays meaningful everywhere.
 mod backend_exactness {
     use super::*;
-    use hdc::kernel::Backend;
-
-    /// Every compiled tier the running CPU can execute.
-    fn runnable_backends() -> Vec<Backend> {
-        Backend::compiled().iter().copied().filter(|b| b.supported()).collect()
-    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
@@ -318,6 +317,67 @@ mod backend_exactness {
                     prop_assert_eq!(
                         &c.threshold_packed((n / 2) as u64)[..], &majority[..],
                         "threshold backend {} dim {}", backend, dim
+                    );
+                }
+            }
+        }
+
+        #[test]
+        fn moves_from_a_copied_start_match_ripple_oracle(
+            seed in any::<u64>(), n in 1usize..40, k in 0usize..12,
+        ) {
+            // An encode that starts from a stored bundle: `n` bound rows
+            // are bundled and flushed, copied into a dirty counter, then
+            // `k` rows move from an old value to a new one (complement add
+            // of the old row, add of the new). The ripple oracle adds the
+            // same vectors one at a time; the bundle of the moved rows
+            // from zero must give the same sums and bits (the n + 2k
+            // invariant), with the count at n + 2k.
+            for dim in DIMS {
+                let position = |j: usize| hv(dim, seed ^ ((j as u64) << 20));
+                let value = |j: usize, version: u64| hv(dim, seed ^ 0xa1 ^ ((j as u64) << 12) ^ version);
+                let bound = |j: usize, version: u64| {
+                    kernel::bind_words(position(j).packed().words(), value(j, version).packed().words(), dim)
+                };
+                let moves = k.min(n);
+                let mut ripple = BitCounter::new_with_backend(dim, Backend::Portable);
+                let mut target = BitCounter::new_with_backend(dim, Backend::Portable);
+                for j in 0..n {
+                    ripple.add_ripple(&bound(j, 0));
+                    target.add_ripple(&bound(j, u64::from(j < moves)));
+                }
+                for j in 0..moves {
+                    ripple.add_ripple(&kernel::negate_words(&bound(j, 0), dim));
+                    ripple.add_ripple(&bound(j, 1));
+                }
+                let sums = ripple.sums();
+                prop_assert_eq!(&sums[..], &target.sums()[..], "n + 2k invariant at dim {}", dim);
+                let bits = ripple.bipolarize_packed();
+                prop_assert_eq!(&bits[..], &target.bipolarize_packed()[..], "bits at dim {}", dim);
+                for backend in runnable_backends() {
+                    let mut start = BitCounter::new_with_backend(dim, backend);
+                    for j in 0..n {
+                        start.add_bound(position(j).packed().words(), value(j, 0).packed().words());
+                    }
+                    start.flush();
+                    let mut counter = BitCounter::new_with_backend(dim, backend);
+                    counter.add(hv(dim, !seed).packed().words());
+                    counter.copy_from(&start);
+                    prop_assert_eq!(counter.count(), n, "copied count backend {} dim {}", backend, dim);
+                    prop_assert_eq!(
+                        &counter.sums()[..], &start.sums()[..],
+                        "copied sums backend {} dim {}", backend, dim
+                    );
+                    for j in 0..moves {
+                        let p = position(j);
+                        counter.add_bound_complement(p.packed().words(), value(j, 0).packed().words());
+                        counter.add_bound(p.packed().words(), value(j, 1).packed().words());
+                    }
+                    prop_assert_eq!(counter.count(), n + 2 * moves, "count backend {} dim {}", backend, dim);
+                    prop_assert_eq!(&counter.sums()[..], &sums[..], "sums backend {} dim {}", backend, dim);
+                    prop_assert_eq!(
+                        &counter.bipolarize_packed()[..], &bits[..],
+                        "bipolarize backend {} dim {}", backend, dim
                     );
                 }
             }
@@ -456,6 +516,97 @@ mod encoder_exactness {
                 let reference = enc.encode_reference(&img).expect("reference");
                 assert_exact(&packed, &reference, dim);
             }
+        }
+    }
+
+    /// One batch that makes the pixel encoder take every start it has:
+    /// the blank image, all-ink images, ink counts n/2 − 1, n/2 and
+    /// n/2 + 1 around the zero-or-blank boundary, a duplicate, and a chain
+    /// of siblings a few pixels apart, longer than the remembered mates so
+    /// the ring wraps. "Background" bytes are every byte that quantizes to
+    /// level 0, so with fewer than 256 levels they are not all zero.
+    fn start_batch(rng: &mut StdRng, pixels: usize, levels: usize) -> Vec<Vec<u8>> {
+        let first_ink = u8::try_from(256usize.div_ceil(levels)).expect("levels <= 256");
+        let with_ink = |rng: &mut StdRng, ink: usize| {
+            let mut image: Vec<u8> = (0..pixels).map(|_| rng.gen_range(0..first_ink)).collect();
+            let mut order: Vec<usize> = (0..pixels).collect();
+            for i in 0..ink {
+                order.swap(i, rng.gen_range(i..pixels));
+                image[order[i]] = rng.gen_range(first_ink..=255);
+            }
+            image
+        };
+        let mut batch = vec![vec![0; pixels], vec![255; pixels], with_ink(rng, pixels)];
+        for ink in [pixels / 2 - 1, pixels / 2, pixels / 2 + 1] {
+            batch.push(with_ink(rng, ink));
+        }
+        batch.push(batch[4].clone());
+        let root = with_ink(rng, pixels / 4);
+        let mut sibling = root.clone();
+        for k in 0..12 {
+            if k % 3 == 0 {
+                sibling = root.clone();
+            }
+            for _ in 0..3 {
+                sibling[rng.gen_range(0..pixels)] = rng.gen();
+            }
+            batch.push(sibling.clone());
+        }
+        batch
+    }
+
+    /// `encode` and `encode_batch` equal `encode_reference` on every
+    /// start, at every boundary dim, with even (36) and odd (49) pixel
+    /// counts — even counts make parity ties — and with 16 and 256 levels.
+    fn assert_pixel_starts_exact() {
+        let mut rng = StdRng::seed_from_u64(0x5747);
+        for dim in DIMS {
+            for side in [6, 7] {
+                for levels in [16, 256] {
+                    let enc = PixelEncoder::new(PixelEncoderConfig {
+                        dim,
+                        width: side,
+                        height: side,
+                        levels,
+                        value_encoding: ValueEncoding::Random,
+                        seed: dim as u64 ^ 6,
+                    })
+                    .expect("valid config");
+                    let batch = start_batch(&mut rng, side * side, levels);
+                    let inputs: Vec<&[u8]> = batch.iter().map(Vec::as_slice).collect();
+                    let batched = enc.encode_batch(&inputs).expect("encode_batch");
+                    for (image, encoded) in batch.iter().zip(&batched) {
+                        let reference = enc.encode_reference(image).expect("reference");
+                        assert_exact(encoded, &reference, dim);
+                        assert_exact(&enc.encode(image).expect("encode"), &reference, dim);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pixel_starts_match_reference_on_every_tier() {
+        // The kernel tier is frozen once per process, so each tier runs
+        // this test again in a child process pinned by HDC_KERNEL_BACKEND.
+        // A process whose tier is already pinned checks that tier only.
+        if std::env::var_os("HDC_KERNEL_BACKEND").is_some() {
+            assert_pixel_starts_exact();
+            return;
+        }
+        let name = "encoder_exactness::pixel_starts_match_reference_on_every_tier";
+        for backend in runnable_backends() {
+            let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
+                .args([name, "--exact", "--test-threads=1"])
+                .env("HDC_KERNEL_BACKEND", backend.name())
+                .output()
+                .expect("spawn the test binary");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            assert!(
+                out.status.success() && stdout.contains("1 passed"),
+                "tier {backend}:\n{stdout}\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
         }
     }
 }

@@ -369,7 +369,12 @@ mod tests {
                 });
             }
             let ring = &ring;
-            for _ in 0..2_000 {
+            // At least 2,000 snapshots, then on until the writers have
+            // wrapped the ring: on a loaded host they may not have been
+            // scheduled yet. The deadline only bounds a hung writer.
+            let deadline = Instant::now() + std::time::Duration::from_secs(30);
+            let mut snapshots = 0;
+            while snapshots < 2_000 || (ring.pushed() <= 8 && Instant::now() < deadline) {
                 for record in ring.snapshot() {
                     assert_eq!(
                         record.id,
@@ -377,6 +382,7 @@ mod tests {
                         "torn record observed: {record:?}"
                     );
                 }
+                snapshots += 1;
             }
             stop.store(true, Relaxed);
         });

@@ -63,15 +63,18 @@ fn query_batch() -> Vec<Vec<u8>> {
     queries
 }
 
-fn temp_dir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("hdc-serve-roundtrip-{}", std::process::id()));
+/// A directory of the test's own: the tests run concurrently, and each
+/// removes its directory when it is done.
+fn temp_dir(test: &str) -> PathBuf {
+    let dir =
+        std::env::temp_dir().join(format!("hdc-serve-roundtrip-{}-{test}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
 }
 
 #[test]
 fn registry_reload_is_bit_identical_on_a_query_batch() {
-    let dir = temp_dir();
+    let dir = temp_dir("reload");
     let path = dir.join("model.hdc");
     let model = trained_model();
     save_pixel_classifier(&model, BufWriter::new(File::create(&path).unwrap())).unwrap();
@@ -110,7 +113,7 @@ fn registry_reload_is_bit_identical_on_a_query_batch() {
 
 #[test]
 fn truncated_and_corrupted_files_fail_cleanly() {
-    let dir = temp_dir();
+    let dir = temp_dir("corrupt");
     let good_path = dir.join("good.hdc");
     let model = trained_model();
     save_pixel_classifier(&model, BufWriter::new(File::create(&good_path).unwrap())).unwrap();
