@@ -6,7 +6,7 @@
 
 use crate::am::{argmax, AssociativeMemory};
 use crate::batch;
-use crate::encoder::Encoder;
+use crate::encoder::{Encoder, Sketch};
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
 use crate::similarity::cosine;
@@ -278,9 +278,8 @@ impl<E: Encoder> HdcClassifier<E> {
 
     /// One shared pass per input yielding `(predicted class, 1 − cosine to
     /// the reference class)` — the exact pair the fuzzing loop consumes for
-    /// every candidate (§IV). Runs inline (fuzzer batches are small), reuses
-    /// one similarity scratch buffer across the whole batch, and touches
-    /// each query's packed form once.
+    /// every candidate (§IV). The [`evaluate_batch_from`](Self::evaluate_batch_from)
+    /// pairs without their sketches.
     ///
     /// # Errors
     ///
@@ -291,19 +290,40 @@ impl<E: Encoder> HdcClassifier<E> {
         inputs: &[&E::Input],
         reference: usize,
     ) -> Result<Vec<(usize, f64)>, HdcError> {
+        let evaluated = self.evaluate_batch_from(inputs, &[], reference)?;
+        Ok(evaluated.into_iter().map(|(label, fitness, _)| (label, fitness)).collect())
+    }
+
+    /// [`evaluate_batch`](Self::evaluate_batch) where input `k` may start
+    /// its encode from `starts[k]`, returning each input's [`Sketch`]
+    /// (when the encoder makes them) beside its pair, so the fuzzer can
+    /// carry a survivor's bundle into its children's encodes
+    /// ([`Encoder::encode_batch_from`]). Runs inline (fuzzer batches are
+    /// small), reuses one similarity scratch buffer across the whole batch,
+    /// and touches each query's packed form once.
+    ///
+    /// # Errors
+    ///
+    /// As [`evaluate_batch`](Self::evaluate_batch).
+    pub fn evaluate_batch_from(
+        &self,
+        inputs: &[&E::Input],
+        starts: &[Option<&Sketch>],
+        reference: usize,
+    ) -> Result<Vec<(usize, f64, Option<Sketch>)>, HdcError> {
         if reference >= self.num_classes() {
             return Err(HdcError::UnknownClass {
                 class: reference,
                 num_classes: self.num_classes(),
             });
         }
-        let queries = self.encoder.encode_batch(inputs)?;
+        let encoded = self.encoder.encode_batch_from(inputs, starts)?;
         let mut sims: Vec<f64> = Vec::with_capacity(self.num_classes());
-        queries
-            .iter()
-            .map(|query| {
-                self.am.similarities_into(query, &mut sims)?;
-                Ok((argmax(&sims), 1.0 - sims[reference]))
+        encoded
+            .into_iter()
+            .map(|(query, sketch)| {
+                self.am.similarities_into(&query, &mut sims)?;
+                Ok((argmax(&sims), 1.0 - sims[reference], sketch))
             })
             .collect()
     }

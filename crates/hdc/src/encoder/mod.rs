@@ -29,7 +29,7 @@ mod timeseries;
 
 pub use ngram::{NgramEncoder, NgramEncoderConfig};
 pub use permute_pixel::{PermutePixelEncoder, PermutePixelEncoderConfig};
-pub use pixel::{PixelEncoder, PixelEncoderConfig};
+pub use pixel::{PixelEncoder, PixelEncoderConfig, Sketch};
 pub use record::{RecordEncoder, RecordEncoderConfig};
 pub use timeseries::{TimeSeriesEncoder, TimeSeriesEncoderConfig};
 
@@ -70,6 +70,26 @@ pub trait Encoder: Send + Sync {
         inputs.iter().map(|input| self.encode(input)).collect()
     }
 
+    /// Encodes a batch like [`encode_batch`](Self::encode_batch), where
+    /// input `k` may start from `starts[k]` (a missing entry means no
+    /// start), and returns each input's [`Sketch`] beside its hypervector,
+    /// ready to be passed back as a start for a nearby input. Hypervectors
+    /// are identical to [`encode`](Self::encode)'s whatever the starts: an
+    /// encoder ignores a sketch it cannot use. The default is
+    /// `encode_batch` with no sketches; [`PixelEncoder`] overrides it.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`encode_batch`](Self::encode_batch).
+    fn encode_batch_from(
+        &self,
+        inputs: &[&Self::Input],
+        starts: &[Option<&Sketch>],
+    ) -> Result<Vec<(Hypervector, Option<Sketch>)>, HdcError> {
+        let _ = starts;
+        Ok(self.encode_batch(inputs)?.into_iter().map(|hv| (hv, None)).collect())
+    }
+
     /// One-time preparation before heavy or concurrent encoding (e.g.
     /// forcing item-memory packed mirrors so parallel workers don't race
     /// to build them lazily). Idempotent; the default does nothing.
@@ -89,6 +109,14 @@ impl<E: Encoder + ?Sized> Encoder for &E {
 
     fn encode_batch(&self, inputs: &[&Self::Input]) -> Result<Vec<Hypervector>, HdcError> {
         (**self).encode_batch(inputs)
+    }
+
+    fn encode_batch_from(
+        &self,
+        inputs: &[&Self::Input],
+        starts: &[Option<&Sketch>],
+    ) -> Result<Vec<(Hypervector, Option<Sketch>)>, HdcError> {
+        (**self).encode_batch_from(inputs, starts)
     }
 
     fn warm_up(&self) {

@@ -16,10 +16,14 @@
 //! * the blank (all-background) image's bundle, built once per encoder —
 //!   each ink pixel adds the complement of its background row, which
 //!   removes it, then its own row (2 adds per ink pixel);
-//! * the bundle of any of the last [`MATES`] inputs of the same
-//!   [`encode_batch`](Encoder::encode_batch) call, moving only the pixels
-//!   whose level differs (2 adds per differing pixel). Fuzz candidates of
-//!   one round are mutants of a few survivors, so siblings differ little.
+//! * a [`Sketch`] the caller passes to
+//!   [`encode_batch_from`](Encoder::encode_batch_from) — the fuzzer passes
+//!   each candidate's parent — moving only the pixels whose level differs
+//!   (2 adds per differing pixel). It is used only when it was made under
+//!   this encoder's exact config;
+//! * the sketch of any of the last [`MATES`] inputs of the same batch
+//!   call, at the same cost. Fuzz candidates of one round are mutants of a
+//!   few survivors, so siblings differ little.
 //!
 //! A counter that started from `n` rows and took `k` complement-and-add
 //! pairs holds `c + k` ones per component at count `n + 2k`, where `c` is
@@ -35,9 +39,9 @@ use crate::hypervector::Hypervector;
 use crate::kernel::{self, BitCounter};
 use crate::memory::{ItemMemory, LevelMemory, ValueEncoding};
 
-/// How many earlier inputs of one `encode_batch` call an encode may start
-/// from. A default fuzz round holds 9 candidates, so the last one can start
-/// from any of the 8 before it.
+/// How many earlier inputs of one batch call an encode may start from. A
+/// default fuzz round holds 9 candidates, so the last one can start from
+/// any of the 8 before it.
 const MATES: usize = 8;
 
 /// Configuration for [`PixelEncoder`].
@@ -98,47 +102,46 @@ impl PixelEncoderConfig {
     }
 }
 
-/// An exact start state for an encode: an image's quantized levels and the
-/// flushed counter holding its bundle (planes and count only).
+/// An encoded image's bundle state, an exact start for encoding a nearby
+/// image: its quantized levels, the planes and count of its flushed
+/// counter, and the config of the encoder that made it.
+///
+/// Opaque: [`Encoder::encode_batch_from`] hands one out per input and
+/// takes them back as starts. A [`PixelEncoder`] uses a sketch only when
+/// it was made under an equal [`PixelEncoderConfig`] (and so over the same
+/// item memories); any other sketch is ignored, never misread.
 #[derive(Debug, Clone)]
-struct Start {
+pub struct Sketch {
+    config: PixelEncoderConfig,
     levels: Vec<u8>,
     counter: BitCounter,
 }
 
-impl Start {
-    fn new(levels: Vec<u8>, flushed: &BitCounter) -> Self {
+impl Sketch {
+    fn new(config: PixelEncoderConfig, levels: Vec<u8>, flushed: &BitCounter) -> Self {
         let mut counter = BitCounter::new(flushed.dim());
         counter.copy_from(flushed);
-        Self { levels, counter }
+        Self { config, levels, counter }
+    }
+
+    /// Overwrites this sketch with another image's state under the same
+    /// config, reusing its allocations.
+    fn set(&mut self, levels: &[u8], flushed: &BitCounter) {
+        self.levels.copy_from_slice(levels);
+        self.counter.copy_from(flushed);
     }
 }
 
-/// Scratch for one `encode`/`encode_batch` call: the working counter, the
-/// current input's levels, and the start states of the call's last
-/// [`MATES`] inputs (a ring, oldest overwritten first).
+/// Scratch for one encode call: the working counter and the current
+/// input's levels.
 struct Scratch {
     counter: BitCounter,
     levels: Vec<u8>,
-    mates: Vec<Start>,
-    remembered: usize,
 }
 
 impl Scratch {
     fn new(dim: usize) -> Self {
-        Self { counter: BitCounter::new(dim), levels: Vec::new(), mates: Vec::new(), remembered: 0 }
-    }
-
-    /// Keeps the input just encoded as a start state for later inputs.
-    fn remember(&mut self) {
-        if self.mates.len() < MATES {
-            self.mates.push(Start::new(self.levels.clone(), &self.counter));
-        } else {
-            let mate = &mut self.mates[self.remembered % MATES];
-            mate.levels.copy_from_slice(&self.levels);
-            mate.counter.copy_from(&self.counter);
-        }
-        self.remembered += 1;
+        Self { counter: BitCounter::new(dim), levels: Vec::new() }
     }
 }
 
@@ -162,7 +165,7 @@ pub struct PixelEncoder {
     positions: ItemMemory,
     values: LevelMemory,
     /// The all-background image: every level 0.
-    blank: Start,
+    blank: Sketch,
     config: PixelEncoderConfig,
 }
 
@@ -201,7 +204,7 @@ impl PixelEncoder {
             counter.add_bound(positions.get(i)?.packed().words(), background);
         }
         counter.flush();
-        let blank = Start::new(vec![0; pixels], &counter);
+        let blank = Sketch::new(config, vec![0; pixels], &counter);
         Ok(Self { positions, values, blank, config })
     }
 
@@ -258,14 +261,21 @@ impl PixelEncoder {
     /// ([`BitCounter::add_bound`] — the bound vector never exists outside
     /// it); the bundle bipolarizes by word-parallel threshold comparison,
     /// never materializing integer sums. The counter starts from the
-    /// cheapest exact state (see the [module docs](self)). Bit-for-bit
+    /// cheapest exact state among zero, the blank image and `starts` (see
+    /// the [module docs](self)); every start must be of this config. Leaves
+    /// the input's levels and flushed counter in `scratch`. Bit-for-bit
     /// equal, including parity ties, to [`encode_reference`](Self::encode_reference).
-    fn encode_into(&self, pixels: &[u8], scratch: &mut Scratch) -> Result<Hypervector, HdcError> {
+    fn encode_into<'s>(
+        &'s self,
+        pixels: &[u8],
+        starts: impl Iterator<Item = &'s Sketch>,
+        scratch: &mut Scratch,
+    ) -> Result<Hypervector, HdcError> {
         let expected = self.pixel_count();
         if pixels.len() != expected {
             return Err(HdcError::InputShapeMismatch { expected, actual: pixels.len() });
         }
-        let Scratch { counter, levels, mates, .. } = scratch;
+        let Scratch { counter, levels } = scratch;
         levels.clear();
         levels.extend(pixels.iter().map(|&p| {
             u8::try_from(self.quantize(p)).expect("quantize maps a byte to a level below 256")
@@ -273,7 +283,8 @@ impl PixelEncoder {
 
         let mut start = None;
         let mut adds = expected;
-        for candidate in std::iter::once(&self.blank).chain(mates.iter()) {
+        for candidate in std::iter::once(&self.blank).chain(starts) {
+            debug_assert_eq!(candidate.config, self.config);
             let moves =
                 2 * candidate.levels.iter().zip(levels.iter()).filter(|(a, b)| a != b).count();
             if moves < adds {
@@ -299,6 +310,38 @@ impl PixelEncoder {
             }
         }
         Ok(crate::encoder::finalize_counter(counter, self.config.dim))
+    }
+
+    /// Encodes `inputs` in order. Input `k` may also start from
+    /// `starts[k]`, if present and of this config, and from the sketch of
+    /// any of the previous [`MATES`] inputs. With `keep_all` every input's
+    /// sketch is returned, in input order; otherwise only the sketches a
+    /// later input can start from are kept, in a ring that reuses their
+    /// allocations, and the caller drops them.
+    fn encode_run(
+        &self,
+        inputs: &[&[u8]],
+        starts: &[Option<&Sketch>],
+        keep_all: bool,
+    ) -> Result<(Vec<Hypervector>, Vec<Sketch>), HdcError> {
+        let mut scratch = Scratch::new(self.config.dim);
+        let mut encoded = Vec::with_capacity(inputs.len());
+        let mut sketches: Vec<Sketch> = Vec::new();
+        for (k, pixels) in inputs.iter().enumerate() {
+            let parent = starts.get(k).copied().flatten().filter(|s| s.config == self.config);
+            let mates = &sketches[sketches.len().saturating_sub(MATES)..];
+            encoded.push(self.encode_into(
+                pixels,
+                parent.into_iter().chain(mates),
+                &mut scratch,
+            )?);
+            if keep_all || (sketches.len() < MATES && k + 1 < inputs.len()) {
+                sketches.push(Sketch::new(self.config, scratch.levels.clone(), &scratch.counter));
+            } else if k + 1 < inputs.len() {
+                sketches[k % MATES].set(&scratch.levels, &scratch.counter);
+            }
+        }
+        Ok((encoded, sketches))
     }
 
     fn position(&self, index: usize) -> Result<&[u64], HdcError> {
@@ -343,7 +386,7 @@ impl Encoder for PixelEncoder {
     }
 
     fn encode(&self, pixels: &[u8]) -> Result<Hypervector, HdcError> {
-        self.encode_into(pixels, &mut Scratch::new(self.config.dim))
+        self.encode_into(pixels, std::iter::empty(), &mut Scratch::new(self.config.dim))
     }
 
     fn warm_up(&self) {
@@ -353,15 +396,16 @@ impl Encoder for PixelEncoder {
     fn encode_batch(&self, inputs: &[&[u8]]) -> Result<Vec<Hypervector>, HdcError> {
         // One scratch serves the whole batch: the counter's allocations
         // are reused, and each input may start from an earlier one.
-        let mut scratch = Scratch::new(self.config.dim);
-        let mut out = Vec::with_capacity(inputs.len());
-        for (k, pixels) in inputs.iter().enumerate() {
-            out.push(self.encode_into(pixels, &mut scratch)?);
-            if k + 1 < inputs.len() {
-                scratch.remember();
-            }
-        }
-        Ok(out)
+        Ok(self.encode_run(inputs, &[], false)?.0)
+    }
+
+    fn encode_batch_from(
+        &self,
+        inputs: &[&[u8]],
+        starts: &[Option<&Sketch>],
+    ) -> Result<Vec<(Hypervector, Option<Sketch>)>, HdcError> {
+        let (encoded, sketches) = self.encode_run(inputs, starts, true)?;
+        Ok(encoded.into_iter().zip(sketches.into_iter().map(Some)).collect())
     }
 }
 

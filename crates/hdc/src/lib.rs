@@ -149,8 +149,8 @@ pub use classifier::{Feedback, HdcClassifier, Prediction};
 pub use confusion::ConfusionMatrix;
 pub use encoder::{
     Encoder, NgramEncoder, NgramEncoderConfig, PermutePixelEncoder, PermutePixelEncoderConfig,
-    PixelEncoder, PixelEncoderConfig, RecordEncoder, RecordEncoderConfig, TimeSeriesEncoder,
-    TimeSeriesEncoderConfig,
+    PixelEncoder, PixelEncoderConfig, RecordEncoder, RecordEncoderConfig, Sketch,
+    TimeSeriesEncoder, TimeSeriesEncoderConfig,
 };
 pub use error::HdcError;
 pub use fault::{bit_error_sweep, BitErrorPoint, FaultyAssociativeMemory};
@@ -169,8 +169,8 @@ pub mod prelude {
     pub use crate::confusion::ConfusionMatrix;
     pub use crate::encoder::{
         Encoder, NgramEncoder, NgramEncoderConfig, PermutePixelEncoder, PermutePixelEncoderConfig,
-        PixelEncoder, PixelEncoderConfig, RecordEncoder, RecordEncoderConfig, TimeSeriesEncoder,
-        TimeSeriesEncoderConfig,
+        PixelEncoder, PixelEncoderConfig, RecordEncoder, RecordEncoderConfig, Sketch,
+        TimeSeriesEncoder, TimeSeriesEncoderConfig,
     };
     pub use crate::error::HdcError;
     pub use crate::hypervector::Hypervector;

@@ -37,7 +37,7 @@
 
 use crate::binary::BinaryClassifier;
 use crate::classifier::{Feedback, HdcClassifier, Prediction};
-use crate::encoder::{Encoder, PixelEncoder, PixelEncoderConfig};
+use crate::encoder::{Encoder, PixelEncoder, PixelEncoderConfig, Sketch};
 use crate::error::HdcError;
 use std::fmt;
 use std::io::Write;
@@ -167,18 +167,29 @@ pub trait Model: Send + Sync {
     /// Same as [`predict`](Self::predict) and [`fitness`](Self::fitness).
     fn evaluate(&self, input: &Self::Input, reference: usize) -> Result<(usize, f64), HdcError>;
 
-    /// Evaluates one whole candidate batch; the default loops
-    /// [`evaluate`](Self::evaluate).
+    /// Evaluates one whole candidate batch, in input order: per input, its
+    /// [`evaluate`](Self::evaluate) pair and, when the model's encoder
+    /// makes them, the [`Sketch`] of its encoding. Input `k` may start its
+    /// encode from `starts[k]` ([`Encoder::encode_batch_from`]); the
+    /// results never depend on the starts. The default loops `evaluate`
+    /// and returns no sketches.
     ///
     /// # Errors
     ///
     /// Same as [`evaluate`](Self::evaluate).
-    fn evaluate_batch(
+    fn evaluate_batch_from(
         &self,
         inputs: &[&Self::Input],
+        starts: &[Option<&Sketch>],
         reference: usize,
-    ) -> Result<Vec<(usize, f64)>, HdcError> {
-        inputs.iter().map(|input| self.evaluate(input, reference)).collect()
+    ) -> Result<Vec<(usize, f64, Option<Sketch>)>, HdcError> {
+        let _ = starts;
+        inputs
+            .iter()
+            .map(|input| {
+                self.evaluate(input, reference).map(|(label, fitness)| (label, fitness, None))
+            })
+            .collect()
     }
 
     /// Absorbs labeled examples online and re-finalizes dirty classes
@@ -248,14 +259,15 @@ where
         Ok((prediction.class, 1.0 - similarity))
     }
 
-    fn evaluate_batch(
+    fn evaluate_batch_from(
         &self,
         inputs: &[&Self::Input],
+        starts: &[Option<&Sketch>],
         reference: usize,
-    ) -> Result<Vec<(usize, f64)>, HdcError> {
+    ) -> Result<Vec<(usize, f64, Option<Sketch>)>, HdcError> {
         // The packed batch kernel: one encode + one packed similarity scan
         // per candidate, sharing scratch across the whole batch.
-        HdcClassifier::evaluate_batch(self, inputs, reference)
+        HdcClassifier::evaluate_batch_from(self, inputs, starts, reference)
     }
 
     fn partial_fit_batch(&mut self, examples: &[(&Self::Input, usize)]) -> Result<usize, HdcError> {
@@ -520,14 +532,15 @@ impl Model for AnyModel {
         }
     }
 
-    fn evaluate_batch(
+    fn evaluate_batch_from(
         &self,
         inputs: &[&[u8]],
+        starts: &[Option<&Sketch>],
         reference: usize,
-    ) -> Result<Vec<(usize, f64)>, HdcError> {
+    ) -> Result<Vec<(usize, f64, Option<Sketch>)>, HdcError> {
         match self {
-            AnyModel::Dense(m) => Model::evaluate_batch(m, inputs, reference),
-            AnyModel::Binary(m) => Model::evaluate_batch(m, inputs, reference),
+            AnyModel::Dense(m) => Model::evaluate_batch_from(m, inputs, starts, reference),
+            AnyModel::Binary(m) => Model::evaluate_batch_from(m, inputs, starts, reference),
         }
     }
 

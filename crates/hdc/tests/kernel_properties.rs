@@ -423,7 +423,7 @@ mod encoder_exactness {
     use hdc::{
         Encoder, NgramEncoder, NgramEncoderConfig, PackedHypervector, PermutePixelEncoder,
         PermutePixelEncoderConfig, PixelEncoder, PixelEncoderConfig, RecordEncoder,
-        RecordEncoderConfig, TimeSeriesEncoder, TimeSeriesEncoderConfig, ValueEncoding,
+        RecordEncoderConfig, Sketch, TimeSeriesEncoder, TimeSeriesEncoderConfig, ValueEncoding,
     };
     use rand::Rng;
 
@@ -585,16 +585,96 @@ mod encoder_exactness {
         }
     }
 
-    #[test]
-    fn pixel_starts_match_reference_on_every_tier() {
-        // The kernel tier is frozen once per process, so each tier runs
-        // this test again in a child process pinned by HDC_KERNEL_BACKEND.
-        // A process whose tier is already pinned checks that tier only.
+    /// `image` with one to three pixels set to random bytes.
+    fn nudge(rng: &mut StdRng, image: &[u8]) -> Vec<u8> {
+        let mut out = image.to_vec();
+        for _ in 0..rng.gen_range(1..=3) {
+            out[rng.gen_range(0..image.len())] = rng.gen();
+        }
+        out
+    }
+
+    /// Chains of sketches, 32 rounds deep: each round encodes a
+    /// child of the previous round's first image, a sibling a few pixels
+    /// further, a duplicate of the child with no start (its batch-mate is
+    /// identical), and the sibling again with a sketch of that very image
+    /// from a foreign encoder (another seed, or another shape), which must
+    /// be ignored. The child starts from the previous round's sketch of
+    /// its parent. Chains begin at ink n/2 − 1, n/2 and n/2 + 1, with even
+    /// (36) and odd (49) pixel counts and 16 and 256 levels, at every
+    /// boundary dim; every output equals `encode_reference` and `encode`.
+    fn assert_sketch_chains_exact() {
+        let mut rng = StdRng::seed_from_u64(0x5e7c);
+        for dim in DIMS {
+            for side in [6, 7] {
+                for levels in [16, 256] {
+                    let config = PixelEncoderConfig {
+                        dim,
+                        width: side,
+                        height: side,
+                        levels,
+                        value_encoding: ValueEncoding::Random,
+                        seed: dim as u64 ^ 7,
+                    };
+                    let enc = PixelEncoder::new(config).expect("valid config");
+                    let foreign = [
+                        PixelEncoder::new(PixelEncoderConfig { seed: config.seed ^ 1, ..config }),
+                        PixelEncoder::new(PixelEncoderConfig { width: side + 1, ..config }),
+                    ]
+                    .map(|enc| enc.expect("valid config"));
+                    let pixels = side * side;
+                    let first_ink = u8::try_from(256usize.div_ceil(levels)).expect("levels");
+                    for ink in [pixels / 2 - 1, pixels / 2, pixels / 2 + 1] {
+                        let mut image: Vec<u8> = (0..pixels)
+                            .map(|i| match i < ink {
+                                true => rng.gen_range(first_ink..=255),
+                                false => rng.gen_range(0..first_ink),
+                            })
+                            .collect();
+                        let mut sketch: Option<Sketch> = None;
+                        for round in 0..32 {
+                            let child = nudge(&mut rng, &image);
+                            let sibling = nudge(&mut rng, &child);
+                            let alien = &foreign[round % 2];
+                            let mut alien_image = sibling.clone();
+                            alien_image.resize(alien.pixel_count(), 0);
+                            let alien_sketch = alien
+                                .encode_batch_from(&[&alien_image], &[None])
+                                .expect("foreign encode")
+                                .pop()
+                                .and_then(|(_, sketch)| sketch);
+                            assert!(alien_sketch.is_some(), "pixel encoders return sketches");
+
+                            let inputs: Vec<&[u8]> = vec![&child, &sibling, &child, &sibling];
+                            let starts =
+                                [sketch.as_ref(), sketch.as_ref(), None, alien_sketch.as_ref()];
+                            let mut out =
+                                enc.encode_batch_from(&inputs, &starts).expect("encode_batch_from");
+                            assert_eq!(out.len(), inputs.len());
+                            for (input, (encoded, sketch)) in inputs.iter().zip(&out) {
+                                assert!(sketch.is_some(), "round {round}: every input's sketch");
+                                let reference = enc.encode_reference(input).expect("reference");
+                                assert_exact(encoded, &reference, dim);
+                                assert_exact(&enc.encode(input).expect("encode"), &reference, dim);
+                            }
+                            sketch = out.swap_remove(0).1;
+                            image = child;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Runs `check` on every runnable kernel tier. The tier is frozen once
+    /// per process, so each tier runs the test `name` again in a child
+    /// process pinned by HDC_KERNEL_BACKEND. A process whose tier is
+    /// already pinned runs `check` on that tier only.
+    fn on_every_tier(name: &str, check: fn()) {
         if std::env::var_os("HDC_KERNEL_BACKEND").is_some() {
-            assert_pixel_starts_exact();
+            check();
             return;
         }
-        let name = "encoder_exactness::pixel_starts_match_reference_on_every_tier";
         for backend in runnable_backends() {
             let out = std::process::Command::new(std::env::current_exe().expect("test binary"))
                 .args([name, "--exact", "--test-threads=1"])
@@ -608,5 +688,21 @@ mod encoder_exactness {
                 String::from_utf8_lossy(&out.stderr)
             );
         }
+    }
+
+    #[test]
+    fn pixel_starts_match_reference_on_every_tier() {
+        on_every_tier(
+            "encoder_exactness::pixel_starts_match_reference_on_every_tier",
+            assert_pixel_starts_exact,
+        );
+    }
+
+    #[test]
+    fn sketch_chains_match_reference_on_every_tier() {
+        on_every_tier(
+            "encoder_exactness::sketch_chains_match_reference_on_every_tier",
+            assert_sketch_chains_exact,
+        );
     }
 }

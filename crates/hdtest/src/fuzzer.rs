@@ -11,6 +11,7 @@ use crate::constraint::Constraint;
 use crate::error::HdtestError;
 use crate::model::TargetModel;
 use crate::mutation::Mutation;
+use hdc::Sketch;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -167,9 +168,20 @@ where
     pub fn fuzz_one(&self, input: &I, seed: u64) -> Result<FuzzResult<I>, HdtestError> {
         self.config.validate()?;
         let mut rng = StdRng::seed_from_u64(mix(seed));
-        let reference = self.model.predict(input.as_ref())?;
+        // Line 4: the reference label. It goes through the batch call so
+        // the original's sketch comes back too, as the start of round 1's
+        // encodes and of a pool restart. Its label is `predict`'s; its
+        // fitness, scored against class 0 for want of a reference, is
+        // discarded.
+        let (reference, root) =
+            match self.model.evaluate_batch_from(&[input.as_ref()], &[None], 0)?.pop() {
+                Some((label, _, root)) => (label, root),
+                None => (self.model.predict(input.as_ref())?, None),
+            };
 
-        let mut pool: Vec<I> = vec![input.clone()];
+        // Each survivor carries the sketch of its encoding, if the model
+        // made one, so its children's encodes can start from it.
+        let mut pool: Vec<(I, Option<Sketch>)> = vec![(input.clone(), root.clone())];
         let mut candidates_evaluated = 0usize;
         let mut discarded = 0usize;
 
@@ -177,14 +189,16 @@ where
             // Line 6: generate seeds from the survivors, round-robin, with
             // bounded retries when the budget rejects candidates.
             let mut candidates: Vec<I> = Vec::with_capacity(self.config.batch_size);
+            let mut parents: Vec<usize> = Vec::with_capacity(self.config.batch_size);
             let max_attempts = self.config.batch_size * 4;
             let mut attempts = 0usize;
             while candidates.len() < self.config.batch_size && attempts < max_attempts {
-                let parent = &pool[attempts % pool.len()];
-                let candidate = self.strategy.mutate(parent, &mut rng);
+                let parent = attempts % pool.len();
+                let candidate = self.strategy.mutate(&pool[parent].0, &mut rng);
                 attempts += 1;
                 if self.constraint.accepts(input, &candidate) {
                     candidates.push(candidate);
+                    parents.push(parent);
                 } else {
                     discarded += 1;
                 }
@@ -193,13 +207,14 @@ where
                 // Every survivor sits at the budget boundary: restart the
                 // pool from the original so the search can take a cheaper
                 // path (the original is within budget by definition).
-                pool = vec![input.clone()];
+                pool = vec![(input.clone(), root.clone())];
                 continue;
             }
 
             // Lines 7–11: differential check. The whole round is evaluated
             // as one batch so `HdcClassifier` targets run it on the
-            // word-packed kernel with shared packed references and scratch;
+            // word-packed kernel with shared packed references and scratch,
+            // each candidate's encode starting from its parent's sketch;
             // each evaluation still yields both the query label and the
             // guidance fitness from a single model pass.
             //
@@ -209,7 +224,9 @@ where
             // *before* the rejected candidate wins over the error, which a
             // batch-level `?` would otherwise swallow.
             let inputs: Vec<&M::Input> = candidates.iter().map(|c| c.as_ref()).collect();
-            let evaluations = match self.model.evaluate_batch(&inputs, reference) {
+            let starts: Vec<Option<&Sketch>> =
+                parents.iter().map(|&parent| pool[parent].1.as_ref()).collect();
+            let evaluations = match self.model.evaluate_batch_from(&inputs, &starts, reference) {
                 Ok(evaluations) => evaluations,
                 Err(_) => {
                     // Stop at the first discrepancy (the shared scan below
@@ -220,7 +237,7 @@ where
                     for candidate in &candidates {
                         let (label, fitness) =
                             self.model.evaluate(candidate.as_ref(), reference)?;
-                        evaluations.push((label, fitness));
+                        evaluations.push((label, fitness, None));
                         if label != reference {
                             break;
                         }
@@ -233,7 +250,7 @@ where
             // (count up to and including the first discrepancy) so records
             // are comparable with pre-batch campaigns.
             let mut adversarial_at: Option<usize> = None;
-            for (index, &(label, _)) in evaluations.iter().enumerate() {
+            for (index, &(label, _, _)) in evaluations.iter().enumerate() {
                 candidates_evaluated += 1;
                 if label != reference {
                     adversarial_at = Some(index);
@@ -253,10 +270,10 @@ where
             }
 
             // Line 14: seed survival.
-            let scored: Vec<(f64, I)> = candidates
+            let scored: Vec<(f64, (I, Option<Sketch>))> = candidates
                 .into_iter()
                 .zip(evaluations)
-                .map(|(candidate, (_, fitness))| (fitness, candidate))
+                .map(|(candidate, (_, fitness, sketch))| (fitness, (candidate, sketch)))
                 .collect();
             pool = self.select_survivors(scored, &mut rng);
         }
@@ -270,7 +287,7 @@ where
         })
     }
 
-    fn select_survivors(&self, mut scored: Vec<(f64, I)>, rng: &mut StdRng) -> Vec<I> {
+    fn select_survivors<S>(&self, mut scored: Vec<(f64, S)>, rng: &mut StdRng) -> Vec<S> {
         let keep = self.config.top_n.min(scored.len());
         match self.config.guidance {
             Guidance::DistanceGuided => {

@@ -15,7 +15,7 @@
 //! kind — current or future — without per-type glue.
 
 use crate::error::HdtestError;
-use hdc::Model;
+use hdc::{Model, Sketch};
 
 /// A classifier under test, exposing exactly the greybox signals HDTest
 /// needs: predictions and the distance-based fitness.
@@ -79,6 +79,29 @@ pub trait TargetModel: Sync {
         inputs.iter().map(|input| self.evaluate(input, reference)).collect()
     }
 
+    /// [`evaluate_batch`](Self::evaluate_batch) where input `k` may start
+    /// its encode from `starts[k]`, returning each input's [`Sketch`]
+    /// beside its pair when the model makes one. The fuzzer passes each
+    /// candidate its parent's sketch and carries survivors' sketches into
+    /// the next round ([`hdc::Encoder::encode_batch_from`]). Labels and
+    /// fitness never depend on the starts. The default is `evaluate_batch`
+    /// with no sketches; every `hdc` [`Model`] forwards to
+    /// [`Model::evaluate_batch_from`], which dense pixel models implement.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`evaluate_batch`](Self::evaluate_batch).
+    fn evaluate_batch_from(
+        &self,
+        inputs: &[&Self::Input],
+        starts: &[Option<&Sketch>],
+        reference: usize,
+    ) -> Result<Vec<(usize, f64, Option<Sketch>)>, HdtestError> {
+        let _ = starts;
+        let evaluated = self.evaluate_batch(inputs, reference)?;
+        Ok(evaluated.into_iter().map(|(label, fitness)| (label, fitness, None)).collect())
+    }
+
     /// One-time preparation before a fuzzing campaign fans out to worker
     /// threads (e.g. forcing packed reference mirrors so workers never
     /// race to build them). The default does nothing.
@@ -114,7 +137,17 @@ impl<M: Model> TargetModel for M {
         inputs: &[&Self::Input],
         reference: usize,
     ) -> Result<Vec<(usize, f64)>, HdtestError> {
-        Ok(Model::evaluate_batch(self, inputs, reference)?)
+        let evaluated = Model::evaluate_batch_from(self, inputs, &[], reference)?;
+        Ok(evaluated.into_iter().map(|(label, fitness, _)| (label, fitness)).collect())
+    }
+
+    fn evaluate_batch_from(
+        &self,
+        inputs: &[&Self::Input],
+        starts: &[Option<&Sketch>],
+        reference: usize,
+    ) -> Result<Vec<(usize, f64, Option<Sketch>)>, HdtestError> {
+        Ok(Model::evaluate_batch_from(self, inputs, starts, reference)?)
     }
 
     fn warm_up(&self) {

@@ -772,10 +772,28 @@ impl Wal {
 mod tests {
     use super::*;
 
-    fn scratch(name: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("hdc-wal-tests-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(name)
+    /// An empty directory of one test's own, removed when the test ends.
+    /// Tests run concurrently, so none may remove a directory another uses.
+    struct Scratch(PathBuf);
+
+    impl Scratch {
+        fn new(test: &str) -> Self {
+            let dir =
+                std::env::temp_dir().join(format!("hdc-wal-tests-{}-{test}", std::process::id()));
+            let _ = std::fs::remove_dir_all(&dir);
+            std::fs::create_dir_all(&dir).unwrap();
+            Scratch(dir)
+        }
+
+        fn path(&self, name: &str) -> PathBuf {
+            self.0.join(name)
+        }
+    }
+
+    impl Drop for Scratch {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn record(version: u64, stride: usize) -> DeltaRecord {
@@ -804,8 +822,8 @@ mod tests {
 
     #[test]
     fn append_reopen_round_trips_records() {
-        let path = scratch("roundtrip.wal");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("append_reopen_round_trips_records");
+        let path = dir.path("roundtrip.wal");
         let (mut wal, replay) = Wal::open(&path, 0).unwrap();
         assert!(replay.is_empty());
         for v in 1..=5 {
@@ -832,8 +850,9 @@ mod tests {
         // Satellite: truncate the log at EVERY byte boundary of its
         // final record; recovery must land exactly on the last complete
         // record, never on garbage and never losing a complete one.
-        let path = scratch("torn.wal");
-        let _ = std::fs::remove_file(&path);
+        let dir =
+            Scratch::new("torn_tail_at_every_byte_boundary_recovers_the_last_complete_record");
+        let path = dir.path("torn.wal");
         let (mut wal, _) = Wal::open(&path, 0).unwrap();
         wal.append(&record(1, 8)).unwrap();
         wal.append(&record(2, 8)).unwrap();
@@ -844,7 +863,7 @@ mod tests {
         assert!(full.len() > two_records.len());
 
         for cut in two_records.len()..full.len() {
-            let torn_path = scratch("torn-cut.wal");
+            let torn_path = dir.path("torn-cut.wal");
             std::fs::write(&torn_path, &full[..cut]).unwrap();
             let (wal, replay) = Wal::open(&torn_path, 0).unwrap();
             assert_eq!(replay.len(), 2, "cut at {cut} must keep exactly the 2 complete records");
@@ -864,8 +883,8 @@ mod tests {
 
     #[test]
     fn corrupt_middle_record_drops_it_and_everything_after() {
-        let path = scratch("corrupt.wal");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("corrupt_middle_record_drops_it_and_everything_after");
+        let path = dir.path("corrupt.wal");
         let (mut wal, _) = Wal::open(&path, 0).unwrap();
         wal.append(&record(1, 8)).unwrap();
         let one_record = std::fs::read(&path).unwrap().len();
@@ -885,8 +904,8 @@ mod tests {
 
     #[test]
     fn compact_drops_records_at_or_below_the_snapshot_version() {
-        let path = scratch("compact.wal");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("compact_drops_records_at_or_below_the_snapshot_version");
+        let path = dir.path("compact.wal");
         let (mut wal, _) = Wal::open(&path, 0).unwrap();
         for v in 1..=6 {
             wal.append(&record(v, 8)).unwrap();
@@ -904,8 +923,8 @@ mod tests {
 
     #[test]
     fn reset_discards_everything_and_rebases() {
-        let path = scratch("reset.wal");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("reset_discards_everything_and_rebases");
+        let path = dir.path("reset.wal");
         let (mut wal, _) = Wal::open(&path, 0).unwrap();
         for v in 1..=3 {
             wal.append(&record(v, 8)).unwrap();
@@ -925,8 +944,8 @@ mod tests {
         // If the snapshot file was replaced by an OLDER one out-of-band,
         // the log's records no longer connect to it: replaying them
         // would corrupt the model, so the log must reset instead.
-        let path = scratch("stale.wal");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("stale_log_ahead_of_the_snapshot_is_reset_not_replayed");
+        let path = dir.path("stale.wal");
         let (mut wal, _) = Wal::open(&path, 10).unwrap();
         wal.append(&record(11, 8)).unwrap();
         drop(wal);
@@ -937,8 +956,8 @@ mod tests {
 
     #[test]
     fn non_contiguous_appends_are_refused() {
-        let path = scratch("gap.wal");
-        let _ = std::fs::remove_file(&path);
+        let dir = Scratch::new("non_contiguous_appends_are_refused");
+        let path = dir.path("gap.wal");
         let (mut wal, _) = Wal::open(&path, 0).unwrap();
         wal.append(&record(1, 8)).unwrap();
         let err = wal.append(&record(3, 8)).unwrap_err();
@@ -951,7 +970,8 @@ mod tests {
 
     #[test]
     fn alien_files_are_refused_not_clobbered() {
-        let path = scratch("alien.wal");
+        let dir = Scratch::new("alien_files_are_refused_not_clobbered");
+        let path = dir.path("alien.wal");
         std::fs::write(&path, b"HDC1 this is a model, not a log, hands off").unwrap();
         let err = Wal::open(&path, 0).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
