@@ -45,7 +45,10 @@ COMMANDS:
              log for crash recovery, and live metrics; dense and binarized
              models serve side by side (auto-detected)
              --model F | --models name=file[,name=file...]
-             [--addr HOST:PORT] [--workers N] [--max-batch N] [--linger-us N]
+             [--addr HOST:PORT] [--workers N] [--max-batch N]
+             [--linger-us N: the most a batch waits for batch-mates, default
+              200; it waits only after a drain of several jobs, so a lone
+              client never does]
              [--model-dir DIR: jail reload/snapshot paths, escapes get 403]
              [--max-queue N: bound the job queue, full sheds with 503]
              [--queue-deadline-ms N: queued too long gets 504, 0 disables]

@@ -13,6 +13,7 @@ use crate::encoder::bipolarize_sums;
 use crate::error::HdcError;
 use crate::hypervector::Hypervector;
 use crate::kernel;
+use std::sync::Arc;
 
 /// Index of the maximal similarity; ties resolve to the **last** maximal
 /// class, matching `Iterator::max_by` (and the binary classifier's
@@ -36,10 +37,17 @@ pub(crate) fn argmax(sims: &[f64]) -> usize {
 /// dirty, and the next finalize re-bipolarizes exactly those classes
 /// (word-parallel threshold, bit-identical to re-deriving every class),
 /// so a single-example update costs one class, not the whole model.
+///
+/// Class state is copy-on-write: each class's accumulator and reference
+/// sit behind an [`Arc`], so `clone()` copies pointers, and a clone that
+/// is then trained copies only the classes it touches. `add`/`subtract`
+/// write through [`Arc::make_mut`]; `finalize` gives each dirty class a
+/// fresh reference. A clone therefore never observes its sibling's
+/// updates, exactly as with a deep copy.
 #[derive(Debug, Clone)]
 pub struct AssociativeMemory {
-    accumulators: Vec<Accumulator>,
-    references: Vec<Hypervector>,
+    accumulators: Vec<Arc<Accumulator>>,
+    references: Vec<Arc<Hypervector>>,
     /// Classes mutated since the last finalize. Only these are
     /// re-bipolarized when a full snapshot already exists.
     dirty: Vec<bool>,
@@ -57,7 +65,7 @@ impl AssociativeMemory {
         assert!(num_classes > 0, "associative memory needs at least one class");
         assert!(dim > 0, "hypervector dimension must be non-zero");
         Self {
-            accumulators: (0..num_classes).map(|_| Accumulator::zeros(dim)).collect(),
+            accumulators: (0..num_classes).map(|_| Arc::new(Accumulator::zeros(dim))).collect(),
             references: Vec::new(),
             dirty: vec![true; num_classes],
             dim,
@@ -94,7 +102,7 @@ impl AssociativeMemory {
             .accumulators
             .get_mut(class)
             .ok_or(HdcError::UnknownClass { class, num_classes })?;
-        acc.add(hv)?;
+        Arc::make_mut(acc).add(hv)?;
         self.dirty[class] = true;
         self.finalized = false;
         Ok(())
@@ -112,7 +120,7 @@ impl AssociativeMemory {
             .accumulators
             .get_mut(class)
             .ok_or(HdcError::UnknownClass { class, num_classes })?;
-        acc.subtract(hv)?;
+        Arc::make_mut(acc).subtract(hv)?;
         self.dirty[class] = true;
         self.finalized = false;
         Ok(())
@@ -131,11 +139,12 @@ impl AssociativeMemory {
         if self.references.len() == self.num_classes() {
             for (class, acc) in self.accumulators.iter().enumerate() {
                 if self.dirty[class] {
-                    self.references[class] = bipolarize_sums(acc.sums());
+                    self.references[class] = Arc::new(bipolarize_sums(acc.sums()));
                 }
             }
         } else {
-            self.references = self.accumulators.iter().map(|a| bipolarize_sums(a.sums())).collect();
+            self.references =
+                self.accumulators.iter().map(|a| Arc::new(bipolarize_sums(a.sums()))).collect();
         }
         self.dirty.fill(false);
         self.finalized = true;
@@ -159,6 +168,7 @@ impl AssociativeMemory {
         }
         self.references
             .get(class)
+            .map(|r| &**r)
             .ok_or(HdcError::UnknownClass { class, num_classes: self.num_classes() })
     }
 
@@ -170,6 +180,7 @@ impl AssociativeMemory {
     pub fn accumulator(&self, class: usize) -> Result<&Accumulator, HdcError> {
         self.accumulators
             .get(class)
+            .map(|a| &**a)
             .ok_or(HdcError::UnknownClass { class, num_classes: self.num_classes() })
     }
 
@@ -254,7 +265,8 @@ impl AssociativeMemory {
     }
 
     /// Forces the packed mirror of every reference (normally already present
-    /// from [`finalize`](Self::finalize); needed again after a clone).
+    /// from [`finalize`](Self::finalize); clones share the references, and
+    /// with them any mirror already built).
     /// Idempotent and cheap when mirrors exist.
     pub fn warm_packed(&self) {
         for r in &self.references {
@@ -275,6 +287,7 @@ impl AssociativeMemory {
             return Err(HdcError::DimensionMismatch { expected: dim, actual: bad.dim() });
         }
         let dirty = vec![true; accumulators.len()];
+        let accumulators = accumulators.into_iter().map(Arc::new).collect();
         let mut am = Self { accumulators, references: Vec::new(), dirty, dim, finalized: false };
         am.finalize();
         Ok(am)
@@ -434,6 +447,59 @@ mod tests {
         assert_eq!(am.dirty_classes(), vec![1, 2]);
         am.finalize();
         assert!(am.dirty_classes().is_empty());
+    }
+
+    #[test]
+    fn trained_clone_copies_only_its_classes_and_leaves_the_original_exact() {
+        // Copy-on-write must be invisible: after training a clone, the
+        // original reads bit-for-bit like a deep copy taken beforehand,
+        // while only the touched class stopped sharing storage.
+        let mut r = rng();
+        for dim in [63usize, 64, 65, 127, 10_000] {
+            let mut a = AssociativeMemory::new(4, dim);
+            for c in 0..4 {
+                // Even counts so zero sums (parity ties) occur.
+                for _ in 0..2 {
+                    a.add(c, &Hypervector::random(dim, &mut r)).unwrap();
+                }
+            }
+            a.finalize();
+            let query = Hypervector::random(dim, &mut r);
+            let accs: Vec<Accumulator> =
+                (0..4).map(|c| a.accumulator(c).unwrap().clone()).collect();
+            let refs: Vec<Hypervector> = (0..4).map(|c| a.reference(c).unwrap().clone()).collect();
+            let sims: Vec<u64> =
+                a.similarities(&query).unwrap().iter().map(|s| s.to_bits()).collect();
+
+            let touched = 2;
+            let mut b = a.clone();
+            b.add(touched, &Hypervector::random(dim, &mut r)).unwrap();
+            b.finalize();
+
+            for c in 0..4 {
+                assert_eq!(*a.accumulator(c).unwrap(), accs[c], "dim {dim} class {c}: accumulator");
+                assert_eq!(*a.reference(c).unwrap(), refs[c], "dim {dim} class {c}: reference");
+                let shared = c != touched;
+                assert_eq!(
+                    Arc::ptr_eq(&a.accumulators[c], &b.accumulators[c]),
+                    shared,
+                    "dim {dim} class {c}"
+                );
+                assert_eq!(
+                    Arc::ptr_eq(&a.references[c], &b.references[c]),
+                    shared,
+                    "dim {dim} class {c}"
+                );
+            }
+            let after: Vec<u64> =
+                a.similarities(&query).unwrap().iter().map(|s| s.to_bits()).collect();
+            assert_eq!(after, sims, "dim {dim}: similarities of the original moved");
+            assert_ne!(
+                b.accumulator(touched).unwrap(),
+                &accs[touched],
+                "dim {dim}: the clone trained"
+            );
+        }
     }
 
     #[test]

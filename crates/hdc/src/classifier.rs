@@ -75,11 +75,12 @@ pub(crate) fn prediction_from_similarities(class: usize, similarities: Vec<f64>)
 /// ## Encoder sharing
 ///
 /// The encoder lives behind an [`Arc`]: item memories are immutable after
-/// construction, so every clone of a classifier shares them. `clone()`
-/// therefore copies only the per-class accumulators and reference vectors —
-/// which is what makes the serving layer's clone-train-publish cycle cheap
-/// (the online-training publish path never duplicates the encoder; see the
-/// `serve_train` bench row).
+/// construction, so every clone of a classifier shares them. The
+/// associative memory's class state is copy-on-write (see
+/// [`AssociativeMemory`]), so `clone()` copies two pointers per class, and
+/// training the clone copies only the classes it touches. That is what
+/// makes the serving layer's clone-train-publish cycle cheap: a served
+/// train duplicates neither the encoder nor the untouched classes.
 #[derive(Debug)]
 pub struct HdcClassifier<E> {
     encoder: Arc<E>,
@@ -88,7 +89,8 @@ pub struct HdcClassifier<E> {
 
 /// Manual impl: cloning must not require `E: Clone` — the encoder is
 /// shared, not copied (the Arc-encoder publish-path invariant, asserted by
-/// `Arc::ptr_eq` in the serve-layer tests).
+/// `Arc::ptr_eq` in the serve-layer tests), and so is every class until
+/// the clone writes to it.
 impl<E> Clone for HdcClassifier<E> {
     fn clone(&self) -> Self {
         Self { encoder: Arc::clone(&self.encoder), am: self.am.clone() }

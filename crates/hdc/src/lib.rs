@@ -75,9 +75,10 @@
 //! consumers — `hdtest` campaigns via its blanket `TargetModel` impl,
 //! the serving registry, the CLI — are written once and run over either
 //! kind. Both classifiers hold their encoder behind an [`std::sync::Arc`],
-//! so cloning a model copies only counters and class vectors — the
-//! invariant that makes the serving layer's clone-train-publish cycle
-//! cheap (see `ARCHITECTURE.md`).
+//! so cloning a model copies only counters and class vectors (the dense
+//! classifier's classes are copy-on-write besides) — the invariant that
+//! makes the serving layer's clone-train-publish cycle cheap (see
+//! `ARCHITECTURE.md`).
 //!
 //! See `ARCHITECTURE.md` at the workspace root for the full layer map
 //! (kernel → packed mirror → BitCounter/CSA → encoders → batch →

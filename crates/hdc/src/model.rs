@@ -28,7 +28,10 @@
 //! ## The Arc-encoder publish invariant
 //!
 //! Both classifiers hold their encoder behind an `Arc`, so `clone()` on a
-//! model copies only counters and class vectors. The serving layer's
+//! model copies only counters and class vectors — and the dense
+//! classifier's classes are copy-on-write besides, so its clone copies
+//! pointers and a train copies only the classes it touches (the binarized
+//! classifier's counters are still copied whole). The serving layer's
 //! online-training publish path (clone → `partial_fit_batch` → swap)
 //! therefore never duplicates an item memory: `Arc::ptr_eq` holds between
 //! the model before and after any number of published training batches

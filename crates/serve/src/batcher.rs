@@ -10,8 +10,9 @@
 //! `max_batch` jobs, waiting at most `max_linger` for stragglers after
 //! the first job arrives. Under load the linger never binds — while the
 //! worker executes one batch the next one queues up behind it — so
-//! throughput rides the batch path while a lone request still completes
-//! within one linger interval.
+//! throughput rides the batch path. The worker lingers only when its
+//! previous drain took more than one job, so a lone closed-loop client,
+//! whose every drain holds one job, never waits for a batch-mate.
 //!
 //! The model is an [`hdc::AnyModel`]: every job executes through the
 //! polymorphic [`Model`] surface, so a binarized classifier coalesces,
@@ -26,12 +27,13 @@
 //! snapshot, feedback jobs run their adaptive updates on the same clone,
 //! and the result is published atomically (swap + one version bump) via
 //! `SharedModel::publish`. Cloning is cheap by construction: both
-//! classifier kinds hold their encoder behind an `Arc`, so the clone
-//! copies counters and class vectors only. Predict jobs in the same drain
-//! run against the pre-update snapshot; requests that were concurrent
-//! have no ordering guarantee anyway. A failed coalesced train falls back
-//! to per-job `partial_fit_batch` calls (each atomic), so one request's
-//! bad example 400s only itself.
+//! classifier kinds hold their encoder behind an `Arc`, and the dense
+//! classifier's classes are copy-on-write, so its clone copies pointers
+//! and a train copies only the classes it touches. Predict jobs in the
+//! same drain run against the pre-update snapshot; requests that were
+//! concurrent have no ordering guarantee anyway. A failed coalesced train
+//! falls back to per-job `partial_fit_batch` calls (each atomic), so one
+//! request's bad example 400s only itself.
 //!
 //! ## Reload swaps ride the queue
 //!
@@ -95,8 +97,11 @@ use std::time::{Duration, Instant};
 pub struct BatchConfig {
     /// Largest batch handed to one `predict_batch` call.
     pub max_batch: usize,
-    /// How long the worker waits for more jobs after the first one of a
-    /// batch arrives. Zero disables coalescing waits entirely.
+    /// The most the worker waits for more jobs after the first one of a
+    /// batch arrives. It waits only when its previous drain took more
+    /// than one job (a fresh worker starts out waiting), and stops early
+    /// once an eighth of this passes with no arrival. Zero disables
+    /// coalescing waits entirely.
     pub max_linger: Duration,
     /// Most jobs allowed to wait in the queue; an enqueue that finds the
     /// queue full is **shed** with a fast 503 + `Retry-After` instead of
@@ -751,6 +756,9 @@ fn worker_loop(
     pool: Option<&Arc<PredictPool>>,
 ) {
     let max_batch = config.max_batch.max(1);
+    // Whether the previous drain had company. A fresh (or respawned)
+    // worker assumes it did, so its first batch lingers.
+    let mut linger = true;
     loop {
         let mut queue = lock_queue(&shared.queue);
         while queue.jobs.is_empty() {
@@ -760,11 +768,13 @@ fn worker_loop(
             queue = shared.arrived.wait(queue).unwrap_or_else(PoisonError::into_inner);
         }
         // First job of the batch is here; linger for stragglers so bursts
-        // coalesce — but adaptively: each wait slice that passes with no
-        // new arrival ends the batch early. Closed-loop clients (everyone
-        // blocked on a reply) therefore never pay the full linger, while a
-        // genuine burst keeps extending the batch up to the deadline.
-        if !config.max_linger.is_zero() && max_batch > 1 {
+        // coalesce — but adaptively. Only a worker whose previous drain
+        // took more than one job lingers at all: a lone closed-loop client
+        // never sends a batch-mate, so waiting for one is pure latency.
+        // And each wait slice that passes with no new arrival ends the
+        // batch early, while a genuine burst keeps extending it up to the
+        // deadline.
+        if linger && !config.max_linger.is_zero() && max_batch > 1 {
             let deadline = Instant::now() + config.max_linger;
             let grace = config.max_linger / 8;
             while queue.jobs.len() < max_batch && !queue.stop {
@@ -787,6 +797,7 @@ fn worker_loop(
         let drained: Vec<Queued> = queue.jobs.drain(..take).collect();
         let stopping = queue.stop;
         drop(queue);
+        linger = take > 1;
 
         if stopping {
             for queued in drained {
@@ -1020,8 +1031,9 @@ fn predict_shard(
 fn execute_updates(shared: &SharedModel, metrics: &Metrics, jobs: Vec<Job>) {
     let execute_started = Instant::now();
     let snapshot = shared.snapshot();
-    // Cheap by construction: the encoder is Arc-shared, so this copies
-    // only the per-class counters and references.
+    // Cheap by construction: the encoder is Arc-shared, and a dense
+    // model's classes are copy-on-write, so this and the trial clones
+    // below copy pointers; a train copies only the classes it touches.
     let mut model = (*snapshot).clone();
     let mut applied_total = 0usize;
     let mut feedback_updates = 0usize;
@@ -1348,6 +1360,47 @@ mod tests {
             "expected coalescing, mean batch size {}",
             metrics.mean_batch_size()
         );
+    }
+
+    #[test]
+    fn lone_client_does_not_linger_for_batch_mates() {
+        // Each grace slice is 250 ms. A fresh worker lingers once; after a
+        // drain of one job it must not wait again, so 8 back-to-back
+        // predicts from one thread finish well inside the 2 s that waiting
+        // out a slice each would take.
+        let config = BatchConfig { max_linger: Duration::from_secs(2), ..BatchConfig::default() };
+        let batcher = Batcher::start(model(), Arc::new(Metrics::new()), config);
+        let started = Instant::now();
+        for _ in 0..8 {
+            batcher.predict(vec![224u8; 16]).unwrap();
+        }
+        let elapsed = started.elapsed();
+        assert!(elapsed < Duration::from_secs(1), "8 lone predicts took {elapsed:?}");
+    }
+
+    #[test]
+    fn snapshot_predictions_survive_later_trains_bit_for_bit() {
+        // Trains publish copy-on-write clones; a snapshot taken before
+        // them must keep answering exactly as it did.
+        let shared = model();
+        let batcher =
+            Batcher::start(Arc::clone(&shared), Arc::new(Metrics::new()), BatchConfig::default());
+        let probes: Vec<Vec<u8>> = (0..8u8).map(|i| vec![i.wrapping_mul(32); 16]).collect();
+        let snapshot = shared.snapshot();
+        let answers = |model: &AnyModel| -> Vec<(usize, u64)> {
+            probes
+                .iter()
+                .map(|p| model.predict(&p[..]).unwrap())
+                .map(|p| (p.class, p.similarity.to_bits()))
+                .collect()
+        };
+        let before = answers(&snapshot);
+        for i in 0..6u8 {
+            batcher.train(vec![(vec![i.wrapping_mul(40); 16], usize::from(i % 2))]).unwrap();
+        }
+        assert_eq!(shared.version(), 6);
+        assert_eq!(answers(&snapshot), before, "a published train leaked into an older snapshot");
+        assert_ne!(answers(&shared.snapshot()), before, "the trains moved the live model");
     }
 
     #[test]

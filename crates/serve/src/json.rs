@@ -281,8 +281,19 @@ impl<'a> Parser<'a> {
         {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.input[start..self.pos])
-            .map_err(|_| self.err("non-UTF-8 number"))?;
+        let token = &self.input[start..self.pos];
+        // Fast path for plain integers (pixel values, labels, counts): up
+        // to 15 digits stay below 2^53, so accumulating them is exact and
+        // equals `str::parse::<f64>` bit for bit, `-0` included.
+        let (negative, digits) = match token.split_first() {
+            Some((b'-', rest)) => (true, rest),
+            _ => (false, token),
+        };
+        if (1..=15).contains(&digits.len()) && digits.iter().all(u8::is_ascii_digit) {
+            let magnitude = digits.iter().fold(0u64, |n, d| n * 10 + u64::from(d - b'0')) as f64;
+            return Ok(Json::Num(if negative { -magnitude } else { magnitude }));
+        }
+        let text = std::str::from_utf8(token).map_err(|_| self.err("non-UTF-8 number"))?;
         let n: f64 = text.parse().map_err(|_| JsonError {
             message: format!("invalid number '{text}'"),
             offset: start,
@@ -453,6 +464,41 @@ mod tests {
             b"--1",
         ] {
             assert!(parse(bad).is_err(), "accepted {:?}", String::from_utf8_lossy(bad));
+        }
+    }
+
+    #[test]
+    fn numbers_match_str_parse_bit_for_bit() {
+        let mut tokens: Vec<String> = (0..=1000).map(|n: u32| n.to_string()).collect();
+        tokens.extend(
+            [
+                "000000000000042",
+                "0000000000000042",
+                "999999999999999",
+                "1000000000000000",
+                "9007199254740991",
+                "9007199254740993",
+                "-0",
+                "-12",
+                "1.0",
+                "1e2",
+                "01e1",
+            ]
+            .map(String::from),
+        );
+        for token in &tokens {
+            let expected: f64 = token.parse().unwrap();
+            let parsed = parse(token.as_bytes()).unwrap().as_f64().unwrap();
+            assert_eq!(parsed.to_bits(), expected.to_bits(), "token {token}");
+        }
+        for (bad, message, offset) in [
+            ("-", "invalid number '-'", 0),
+            ("1-2", "invalid number '1-2'", 0),
+            ("1e", "invalid number '1e'", 0),
+            ("[7, 1e]", "invalid number '1e'", 4),
+        ] {
+            let err = parse(bad.as_bytes()).unwrap_err();
+            assert_eq!((err.message.as_str(), err.offset), (message, offset), "token {bad}");
         }
     }
 

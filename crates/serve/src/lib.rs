@@ -13,9 +13,13 @@
 //! * [`batcher`] — **request coalescing**: concurrent in-flight predicts
 //!   queue into one [`hdc::Model::predict_batch`] call (configurable max
 //!   batch size and linger, default 64 / 1 ms), so throughput under load
-//!   rides the packed batch path instead of N scalar scans; concurrent
+//!   rides the packed batch path instead of N scalar scans. The worker
+//!   lingers only after a drain of several jobs, so a lone client's
+//!   request never waits for a batch-mate. Concurrent
 //!   training requests coalesce the same way into one
-//!   [`hdc::Model::partial_fit_batch`], and hot-reload swaps ride the
+//!   [`hdc::Model::partial_fit_batch`] on a private clone whose untouched
+//!   classes are shared with the published model (copy-on-write), and
+//!   hot-reload swaps ride the
 //!   same queue so they serialize against in-flight training. Drained
 //!   predict batches shard across a per-model **predict worker pool**
 //!   (`--predict-workers`, default = core count): contiguous shards
