@@ -126,13 +126,14 @@ impl<E: Encoder + ?Sized> Encoder for &E {
 
 /// Finalizes a packed bundle counter into a hypervector: bipolarize by
 /// word-parallel threshold comparison (never materializing integer sums)
-/// and prefill the packed mirror. Bit-identical — including parity
+/// into a hypervector of packed words, whose components unpack only if
+/// read. Bit-identical — including parity
 /// tie-breaks — to [`bipolarize_sums`] over the counter's integer sums,
 /// which is what every encoder's `encode_reference` scalar oracle uses.
 pub(crate) fn finalize_counter(counter: &mut crate::kernel::BitCounter, dim: usize) -> Hypervector {
     let packed =
         crate::packed::PackedHypervector::from_words_unchecked(counter.bipolarize_packed(), dim);
-    Hypervector::from_packed_mirror(packed)
+    Hypervector::from_packed(packed)
 }
 
 /// Bundles one permuted window product into `counter`:

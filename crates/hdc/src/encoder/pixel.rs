@@ -25,13 +25,18 @@
 //!   call, at the same cost. Fuzz candidates of one round are mutants of a
 //!   few survivors, so siblings differ little.
 //!
-//! A counter that started from `n` rows and took `k` complement-and-add
-//! pairs holds `c + k` ones per component at count `n + 2k`, where `c` is
-//! the count from zero. Its bipolar sums `2c − n` are unchanged, so the
-//! plain [`BitCounter::bipolarize_packed`] (threshold `count / 2`, parity
+//! The moved rows go into a small counter of their own, which holds only
+//! their counts and so has ~6 planes instead of the bundle's 10–12; it is
+//! then added to the start in one carry pass ([`BitCounter::set_sum`]),
+//! written straight into the sketch the call keeps. A start of `n` rows
+//! merged with `k` complement-and-add pairs holds `c + k` ones per
+//! component at count `n + 2k`, where `c` is the count from zero. Its
+//! bipolar sums `2c − n` are unchanged, so the plain
+//! [`BitCounter::bipolarize_packed`] (threshold `count / 2`, parity
 //! tie-break at even counts) gives the full encode's bits exactly. That
-//! holds because the count is only ever the number of vectors added and
-//! every added vector has its tail bits cleared.
+//! holds because counts and planes add exactly, the count is only ever the
+//! number of vectors added, and every added vector has its tail bits
+//! cleared.
 
 use crate::encoder::Encoder;
 use crate::error::HdcError;
@@ -118,31 +123,24 @@ pub struct Sketch {
 }
 
 impl Sketch {
-    fn new(config: PixelEncoderConfig, levels: Vec<u8>, flushed: &BitCounter) -> Self {
-        let mut counter = BitCounter::new(flushed.dim());
-        counter.copy_from(flushed);
-        Self { config, levels, counter }
-    }
-
-    /// Overwrites this sketch with another image's state under the same
-    /// config, reusing its allocations.
-    fn set(&mut self, levels: &[u8], flushed: &BitCounter) {
-        self.levels.copy_from_slice(levels);
-        self.counter.copy_from(flushed);
+    /// A sketch under `config` with no image yet, for an encode to write.
+    fn empty(config: PixelEncoderConfig) -> Self {
+        Self { config, levels: Vec::new(), counter: BitCounter::new(config.dim) }
     }
 }
 
-/// Scratch for one encode call: the working counter and the current
-/// input's levels.
-struct Scratch {
-    counter: BitCounter,
-    levels: Vec<u8>,
-}
-
-impl Scratch {
-    fn new(dim: usize) -> Self {
-        Self { counter: BitCounter::new(dim), levels: Vec::new() }
-    }
+/// How many bytes differ between `a` and `b` (equal lengths). Each chunk
+/// of at most 255 bytes is counted in a `u8`, which cannot wrap, so LLVM
+/// vectorizes the count into byte lanes; the chunk totals are summed wide.
+fn count_differing(a: &[u8], b: &[u8]) -> usize {
+    debug_assert_eq!(a.len(), b.len());
+    a.chunks(255)
+        .zip(b.chunks(255))
+        .map(|(a, b)| {
+            let chunk = a.iter().zip(b).fold(0u8, |n, (x, y)| n.wrapping_add(u8::from(x != y)));
+            usize::from(chunk)
+        })
+        .sum()
 }
 
 /// Encodes flattened greyscale images (`&[u8]`, row-major) into
@@ -204,7 +202,9 @@ impl PixelEncoder {
             counter.add_bound(positions.get(i)?.packed().words(), background);
         }
         counter.flush();
-        let blank = Sketch::new(config, vec![0; pixels], &counter);
+        let mut blank = Sketch::empty(config);
+        blank.levels = vec![0; pixels];
+        blank.counter.copy_from(&counter);
         Ok(Self { positions, values, blank, config })
     }
 
@@ -262,20 +262,24 @@ impl PixelEncoder {
     /// it); the bundle bipolarizes by word-parallel threshold comparison,
     /// never materializing integer sums. The counter starts from the
     /// cheapest exact state among zero, the blank image and `starts` (see
-    /// the [module docs](self)); every start must be of this config. Leaves
-    /// the input's levels and flushed counter in `scratch`. Bit-for-bit
+    /// the [module docs](self)); every start must be of this config. The
+    /// rows that move go into `moves`, a small counter of their own, which
+    /// is merged with the start once ([`BitCounter::set_sum`]); the merged
+    /// state and the input's levels are written into `out`. Bit-for-bit
     /// equal, including parity ties, to [`encode_reference`](Self::encode_reference).
     fn encode_into<'s>(
         &'s self,
         pixels: &[u8],
         starts: impl Iterator<Item = &'s Sketch>,
-        scratch: &mut Scratch,
+        moves: &mut BitCounter,
+        out: &mut Sketch,
     ) -> Result<Hypervector, HdcError> {
         let expected = self.pixel_count();
         if pixels.len() != expected {
             return Err(HdcError::InputShapeMismatch { expected, actual: pixels.len() });
         }
-        let Scratch { counter, levels } = scratch;
+        debug_assert_eq!(out.config, self.config);
+        let Sketch { levels, counter, .. } = out;
         levels.clear();
         levels.extend(pixels.iter().map(|&p| {
             u8::try_from(self.quantize(p)).expect("quantize maps a byte to a level below 256")
@@ -285,28 +289,30 @@ impl PixelEncoder {
         let mut adds = expected;
         for candidate in std::iter::once(&self.blank).chain(starts) {
             debug_assert_eq!(candidate.config, self.config);
-            let moves =
-                2 * candidate.levels.iter().zip(levels.iter()).filter(|(a, b)| a != b).count();
-            if moves < adds {
-                (start, adds) = (Some(candidate), moves);
+            let moved = 2 * count_differing(&candidate.levels, levels);
+            if moved < adds {
+                (start, adds) = (Some(candidate), moved);
             }
         }
+        moves.clear();
         match start {
             None => {
-                counter.clear();
                 for (i, &level) in levels.iter().enumerate() {
-                    counter.add_bound(self.position(i)?, self.value(level)?);
+                    moves.add_bound(self.position(i)?, self.value(level)?);
                 }
+                moves.flush();
+                counter.copy_from(moves);
             }
             Some(start) => {
-                counter.copy_from(&start.counter);
                 for (i, (&from, &to)) in start.levels.iter().zip(levels.iter()).enumerate() {
                     if from != to {
                         let position = self.position(i)?;
-                        counter.add_bound_complement(position, self.value(from)?);
-                        counter.add_bound(position, self.value(to)?);
+                        moves.add_bound_complement(position, self.value(from)?);
+                        moves.add_bound(position, self.value(to)?);
                     }
                 }
+                moves.flush();
+                counter.set_sum(&start.counter, moves);
             }
         }
         Ok(crate::encoder::finalize_counter(counter, self.config.dim))
@@ -316,15 +322,17 @@ impl PixelEncoder {
     /// `starts[k]`, if present and of this config, and from the sketch of
     /// any of the previous [`MATES`] inputs. With `keep_all` every input's
     /// sketch is returned, in input order; otherwise only the sketches a
-    /// later input can start from are kept, in a ring that reuses their
-    /// allocations, and the caller drops them.
+    /// later input can start from are kept, in a ring: each input is
+    /// written into a spare sketch that then trades places with the oldest
+    /// mate, so no sketch is copied, and the caller drops them.
     fn encode_run(
         &self,
         inputs: &[&[u8]],
         starts: &[Option<&Sketch>],
         keep_all: bool,
     ) -> Result<(Vec<Hypervector>, Vec<Sketch>), HdcError> {
-        let mut scratch = Scratch::new(self.config.dim);
+        let mut moves = BitCounter::new(self.config.dim);
+        let mut spare = Sketch::empty(self.config);
         let mut encoded = Vec::with_capacity(inputs.len());
         let mut sketches: Vec<Sketch> = Vec::new();
         for (k, pixels) in inputs.iter().enumerate() {
@@ -333,12 +341,13 @@ impl PixelEncoder {
             encoded.push(self.encode_into(
                 pixels,
                 parent.into_iter().chain(mates),
-                &mut scratch,
+                &mut moves,
+                &mut spare,
             )?);
             if keep_all || (sketches.len() < MATES && k + 1 < inputs.len()) {
-                sketches.push(Sketch::new(self.config, scratch.levels.clone(), &scratch.counter));
+                sketches.push(std::mem::replace(&mut spare, Sketch::empty(self.config)));
             } else if k + 1 < inputs.len() {
-                sketches[k % MATES].set(&scratch.levels, &scratch.counter);
+                std::mem::swap(&mut sketches[k % MATES], &mut spare);
             }
         }
         Ok((encoded, sketches))
@@ -386,7 +395,12 @@ impl Encoder for PixelEncoder {
     }
 
     fn encode(&self, pixels: &[u8]) -> Result<Hypervector, HdcError> {
-        self.encode_into(pixels, std::iter::empty(), &mut Scratch::new(self.config.dim))
+        self.encode_into(
+            pixels,
+            std::iter::empty(),
+            &mut BitCounter::new(self.config.dim),
+            &mut Sketch::empty(self.config),
+        )
     }
 
     fn warm_up(&self) {
@@ -394,8 +408,8 @@ impl Encoder for PixelEncoder {
     }
 
     fn encode_batch(&self, inputs: &[&[u8]]) -> Result<Vec<Hypervector>, HdcError> {
-        // One scratch serves the whole batch: the counter's allocations
-        // are reused, and each input may start from an earlier one.
+        // One move counter serves the whole batch, its allocations reused,
+        // and each input may start from an earlier one.
         Ok(self.encode_run(inputs, &[], false)?.0)
     }
 
@@ -456,6 +470,29 @@ mod tests {
         let batched = enc.encode_batch(&inputs).unwrap();
         for (input, hv) in inputs.iter().zip(&batched) {
             assert_eq!(*hv, enc.encode(input).unwrap());
+        }
+    }
+
+    #[test]
+    fn count_differing_matches_the_byte_loop() {
+        // Lengths around the 255-byte chunks, and a digit's 784 pixels;
+        // all-different bytes fill every chunk's count to its length.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut byte = || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 56) as u8
+        };
+        for len in [0, 1, 254, 255, 256, 511, 784] {
+            let a: Vec<u8> = (0..len).map(|_| byte()).collect();
+            let b: Vec<u8> = (0..len).map(|_| byte() & 0x03).collect();
+            let flipped: Vec<u8> = a.iter().map(|&x| !x).collect();
+            for (x, y) in [(&a, &b), (&a, &flipped), (&a, &a)] {
+                let expected = x.iter().zip(y.iter()).filter(|(p, q)| p != q).count();
+                assert_eq!(count_differing(x, y), expected, "len {len}");
+            }
+            assert_eq!(count_differing(&a, &flipped), len, "all different at len {len}");
         }
     }
 

@@ -5,6 +5,12 @@
 //! distributed over `{-1, +1}`. Random hypervectors of dimension `D ≈ 10,000`
 //! are quasi-orthogonal with overwhelming probability, which is what makes
 //! holographic superposition (bundling) and binding work.
+//!
+//! A hypervector holds two forms of the same components, each built from
+//! the other on first use: the `Vec<i8>` components and the bit-packed words.
+//! Random draws and component-wise arithmetic start from the components;
+//! encoders and word-level binds start from the words, and whoever only
+//! scans them (the associative memory, a served predict) never unpacks.
 
 use crate::error::HdcError;
 use crate::kernel;
@@ -21,14 +27,21 @@ use std::sync::OnceLock;
 ///
 /// The user-facing representation is `Vec<i8>`, so binding is a single
 /// elementwise multiply and components index naturally. Internally every
-/// hypervector also maintains a **lazily computed bit-packed mirror**
-/// ([`packed`](Self::packed)): 64 components per `u64` word, built on first
-/// use and carried through [`bind`](Self::bind) / [`permute`](Self::permute)
-/// / [`negate`](Self::negate) at word-level cost. The similarity hot path
-/// ([`crate::dot`], [`crate::cosine`], [`crate::hamming`]) runs entirely on
-/// the mirror via XOR + popcount and the identity `dot = D − 2·hamming`
-/// (see [`crate::kernel`]), which is what makes fuzzing-campaign fitness
-/// evaluation fast.
+/// hypervector also has a **bit-packed mirror** ([`packed`](Self::packed)):
+/// 64 components per `u64` word, carried through [`bind`](Self::bind) /
+/// [`permute`](Self::permute) / [`negate`](Self::negate) at word-level
+/// cost. The similarity hot path ([`crate::dot`], [`crate::cosine`],
+/// [`crate::hamming`]) runs entirely on the mirror via XOR + popcount and
+/// the identity `dot = D − 2·hamming` (see [`crate::kernel`]), which is what
+/// makes fuzzing-campaign fitness evaluation fast.
+///
+/// Each form is built lazily from the other: a hypervector made from
+/// components packs on the first similarity, and one made from packed words
+/// (every encoder output) unpacks on the first component read —
+/// [`as_slice`](Self::as_slice), indexing, [`into_components`](Self::into_components)
+/// or a hash — so a candidate that only meets the associative memory never
+/// builds its `Vec<i8>`. Equality, hashing and cloning mean the same for
+/// either origin.
 ///
 /// ```
 /// use hdc::Hypervector;
@@ -41,18 +54,25 @@ use std::sync::OnceLock;
 /// assert!(hdc::cosine(&a, &b).abs() < 0.12);
 /// ```
 pub struct Hypervector {
-    components: Vec<i8>,
-    /// Bit-packed mirror of `components`, built lazily. Invariant: when
-    /// set, it is exactly `PackedHypervector::pack(&self.components)`.
-    /// `components` is never mutated after the mirror exists (constructors
-    /// build fresh vectors), so the mirror can never go stale.
+    dim: usize,
+    /// The bipolar components. Invariant: at least one of `components` and
+    /// `packed` is set, and when both are, `packed` is exactly
+    /// `PackedHypervector::pack(components)`. Neither is mutated once set
+    /// (constructors build fresh vectors), so the lazy form can never go
+    /// stale.
+    components: OnceLock<Vec<i8>>,
+    /// Bit-packed form of the components.
     packed: OnceLock<PackedHypervector>,
 }
 
 impl Hypervector {
-    /// Internal constructor with an empty mirror.
+    /// Internal constructor from components, with the packed form unbuilt.
     fn new(components: Vec<i8>) -> Self {
-        Self { components, packed: OnceLock::new() }
+        Self {
+            dim: components.len(),
+            components: OnceLock::from(components),
+            packed: OnceLock::new(),
+        }
     }
 
     /// Internal constructor with a pre-computed packed mirror (used where
@@ -60,17 +80,17 @@ impl Hypervector {
     pub(crate) fn with_mirror(components: Vec<i8>, packed: PackedHypervector) -> Self {
         debug_assert_eq!(packed.dim(), components.len());
         debug_assert_eq!(packed, PackedHypervector::pack(&components));
-        let cell = OnceLock::new();
-        let _ = cell.set(packed);
-        Self { components, packed: cell }
+        Self {
+            dim: components.len(),
+            components: OnceLock::from(components),
+            packed: OnceLock::from(packed),
+        }
     }
 
-    /// Builds a hypervector from its packed form, prefilling the mirror.
-    pub(crate) fn from_packed_mirror(packed: PackedHypervector) -> Self {
-        let components = kernel::unpack_words(packed.words(), packed.dim());
-        let cell = OnceLock::new();
-        let _ = cell.set(packed);
-        Self { components, packed: cell }
+    /// Builds a hypervector from its packed form alone; the components are
+    /// unpacked on first read.
+    pub(crate) fn from_packed(packed: PackedHypervector) -> Self {
+        Self { dim: packed.dim(), components: OnceLock::new(), packed: OnceLock::from(packed) }
     }
 
     /// Creates a hypervector from raw bipolar components.
@@ -121,23 +141,28 @@ impl Hypervector {
 
     /// The dimension `D` of the hypervector.
     pub fn dim(&self) -> usize {
-        self.components.len()
+        self.dim
     }
 
-    /// Borrows the raw bipolar components.
+    /// Borrows the raw bipolar components, unpacking them on first use if
+    /// the hypervector was made from packed words.
     pub fn as_slice(&self) -> &[i8] {
-        &self.components
+        self.components.get_or_init(|| unpack(&self.packed))
     }
 
     /// Consumes the hypervector, returning its components.
     pub fn into_components(self) -> Vec<i8> {
-        self.components
+        self.components.into_inner().unwrap_or_else(|| unpack(&self.packed))
     }
 
     /// The bit-packed mirror (`+1 → 1`, `-1 → 0`), computed on first use
     /// and cached. All similarity kernels run on this form.
     pub fn packed(&self) -> &PackedHypervector {
-        self.packed.get_or_init(|| PackedHypervector::pack(&self.components))
+        self.packed.get_or_init(|| {
+            PackedHypervector::pack(
+                self.components.get().expect("a hypervector holds its components or its words"),
+            )
+        })
     }
 
     /// The packed mirror if it has already been computed (used to carry the
@@ -162,15 +187,12 @@ impl Hypervector {
         }
         match (self.packed_if_cached(), other.packed_if_cached()) {
             (Some(pa), Some(pb)) => {
-                // Word-level XNOR, then byte-table unpack for the scalar
-                // side: cheaper than the elementwise multiply loop.
-                let packed = pa.bind(pb).expect("dimensions already checked");
-                let components = kernel::unpack_words(packed.words(), self.dim());
-                Ok(Self::with_mirror(components, packed))
+                // Word-level XNOR; the components unpack only if read.
+                Ok(Self::from_packed(pa.bind(pb).expect("dimensions already checked")))
             }
             _ => {
                 let components =
-                    self.components.iter().zip(&other.components).map(|(&a, &b)| a * b).collect();
+                    self.as_slice().iter().zip(other.as_slice()).map(|(&a, &b)| a * b).collect();
                 Ok(Self::new(components))
             }
         }
@@ -188,13 +210,14 @@ impl Hypervector {
         if k == 0 {
             return self.clone();
         }
-        let mut components = Vec::with_capacity(dim);
-        components.extend_from_slice(&self.components[dim - k..]);
-        components.extend_from_slice(&self.components[..dim - k]);
-        match self.packed_if_cached() {
-            Some(p) => Self::with_mirror(components, p.permute(k)),
-            None => Self::new(components),
+        if let Some(p) = self.packed_if_cached() {
+            return Self::from_packed(p.permute(k));
         }
+        let components = self.as_slice();
+        let mut rotated = Vec::with_capacity(dim);
+        rotated.extend_from_slice(&components[dim - k..]);
+        rotated.extend_from_slice(&components[..dim - k]);
+        Self::new(rotated)
     }
 
     /// Inverse of [`permute`](Self::permute): cyclic left-shift.
@@ -206,10 +229,9 @@ impl Hypervector {
 
     /// Flips the sign of every component.
     pub fn negate(&self) -> Self {
-        let components = self.components.iter().map(|&c| -c).collect();
         match self.packed_if_cached() {
-            Some(p) => Self::with_mirror(components, p.negate()),
-            None => Self::new(components),
+            Some(p) => Self::from_packed(p.negate()),
+            None => Self::new(self.as_slice().iter().map(|&c| -c).collect()),
         }
     }
 
@@ -231,7 +253,7 @@ impl Hypervector {
     /// Useful for modelling bit-error noise (the paper's related work
     /// discusses HDC robustness against memory errors) and in tests.
     pub fn with_noise(&self, count: usize, rng: &mut StdRng) -> Self {
-        let mut components = self.components.clone();
+        let mut components = self.as_slice().to_vec();
         let dim = components.len();
         for _ in 0..count.min(dim) {
             let i = rng.gen_range(0..dim);
@@ -241,24 +263,36 @@ impl Hypervector {
     }
 }
 
+/// Unpacks the words of a hypervector that has no components yet.
+fn unpack(packed: &OnceLock<PackedHypervector>) -> Vec<i8> {
+    let packed = packed.get().expect("a hypervector holds its components or its words");
+    kernel::unpack_words(packed.words(), packed.dim())
+}
+
 impl Clone for Hypervector {
-    /// Clones the components and any already-computed packed mirror.
+    /// Clones whichever forms are already built.
     fn clone(&self) -> Self {
-        Self { components: self.components.clone(), packed: self.packed.clone() }
+        Self { dim: self.dim, components: self.components.clone(), packed: self.packed.clone() }
     }
 }
 
 impl PartialEq for Hypervector {
+    /// Component-wise equality. Packing is one-to-one on bipolar vectors,
+    /// so two packed forms compare their words instead.
     fn eq(&self, other: &Self) -> bool {
-        self.components == other.components
+        match (self.packed_if_cached(), other.packed_if_cached()) {
+            (Some(a), Some(b)) => a == b,
+            _ => self.as_slice() == other.as_slice(),
+        }
     }
 }
 
 impl Eq for Hypervector {}
 
 impl Hash for Hypervector {
+    /// Hashes the components, as a `Vec<i8>` of them would.
     fn hash<H: Hasher>(&self, state: &mut H) {
-        self.components.hash(state);
+        self.as_slice().hash(state);
     }
 }
 
@@ -266,21 +300,21 @@ impl Index<usize> for Hypervector {
     type Output = i8;
 
     fn index(&self, index: usize) -> &Self::Output {
-        &self.components[index]
+        &self.as_slice()[index]
     }
 }
 
 impl fmt::Debug for Hypervector {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let dim = self.dim();
-        let head: Vec<i8> = self.components.iter().take(8).copied().collect();
+        let head: Vec<i8> = self.as_slice().iter().take(8).copied().collect();
         write!(f, "Hypervector(dim={dim}, head={head:?}…)")
     }
 }
 
 impl AsRef<[i8]> for Hypervector {
     fn as_ref(&self) -> &[i8] {
-        &self.components
+        self.as_slice()
     }
 }
 
@@ -464,6 +498,47 @@ mod tests {
         let b = a.clone();
         assert_eq!(a, b);
         assert_eq!(*b.packed(), PackedHypervector::pack(b.as_slice()));
+    }
+
+    #[test]
+    fn built_from_packed_words_agrees_with_components_on_every_accessor() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |value: &dyn Fn(&mut DefaultHasher)| {
+            let mut state = DefaultHasher::new();
+            value(&mut state);
+            state.finish()
+        };
+        for dim in [63, 64, 65, 127, 10_000] {
+            let a = Hypervector::random(dim, &mut StdRng::seed_from_u64(dim as u64));
+            // A fresh packed-only twin per accessor, so each one runs on
+            // components that were never built.
+            let words = PackedHypervector::pack(a.as_slice());
+            let twin = || Hypervector::from_packed(words.clone());
+            assert!(twin().components.get().is_none(), "dim {dim}: built eagerly");
+            assert_eq!(twin().dim(), dim);
+            assert_eq!(twin().as_slice(), a.as_slice(), "dim {dim}");
+            assert_eq!(twin().as_ref(), a.as_slice(), "dim {dim}");
+            assert_eq!(twin()[dim - 1], a[dim - 1], "dim {dim}");
+            assert_eq!(twin().into_components(), a.as_slice(), "dim {dim}");
+            assert_eq!(*twin().packed(), *a.packed(), "dim {dim}");
+            assert_eq!(twin().clone().as_slice(), a.as_slice(), "dim {dim}");
+            assert_eq!(format!("{:?}", twin()), format!("{a:?}"), "dim {dim}");
+            // Equality across origins and between two packed-only vectors.
+            let plain = Hypervector::from_components(a.as_slice().to_vec()).unwrap();
+            assert!(twin() == plain && plain == twin() && twin() == twin(), "dim {dim}");
+            assert!(twin() != plain.negate() && plain.negate() != twin(), "dim {dim}");
+            // `Hash` as a `Vec<i8>` of the components hashes.
+            let expected = hash(&|state| a.as_slice().to_vec().hash(state));
+            assert_eq!(hash(&|state| twin().hash(state)), expected, "dim {dim}");
+            assert_eq!(hash(&|state| plain.hash(state)), expected, "dim {dim}");
+            // Word-level ops on a packed-only operand.
+            let b = Hypervector::random(dim, &mut StdRng::seed_from_u64(!(dim as u64)));
+            let _ = b.packed();
+            assert_eq!(twin().bind(&b).unwrap().as_slice(), plain.bind(&b).unwrap().as_slice());
+            assert_eq!(twin().permute(5).as_slice(), plain.permute(5).as_slice());
+            assert_eq!(twin().negate().as_slice(), plain.negate().as_slice());
+            assert_eq!(twin().with_noise(7, &mut rng()), plain.with_noise(7, &mut rng()));
+        }
     }
 
     #[test]

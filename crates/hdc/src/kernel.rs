@@ -479,6 +479,41 @@ fn full_add(a: u64, b: u64, c: u64) -> (u64, u64) {
     (ab ^ c, (a & b) | (ab & c))
 }
 
+/// One ripple-carry plane update, `carry, plane = plane & carry, plane ^
+/// carry`, on `backend`. Returns non-zero iff any carry survives.
+#[inline]
+fn ripple_step(backend: Backend, plane: &mut [u64], carry: &mut [u64]) -> u64 {
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => avx2::ripple_step(plane, carry),
+        _ => {
+            let mut any = 0u64;
+            for (p, c) in plane.iter_mut().zip(carry) {
+                let next = *p & *c;
+                *p ^= *c;
+                *c = next;
+                any |= next;
+            }
+            any
+        }
+    }
+}
+
+/// One full-adder plane update of a counter merge, `plane, carry =
+/// plane + addend + carry` per bit, on `backend`.
+#[inline]
+fn full_add_step(backend: Backend, plane: &mut [u64], addend: &[u64], carry: &mut [u64]) {
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => avx2::full_add_step(plane, addend, carry),
+        _ => {
+            for ((p, &a), c) in plane.iter_mut().zip(addend).zip(carry) {
+                (*p, *c) = full_add(*p, a, *c);
+            }
+        }
+    }
+}
+
 /// A bit-sliced (vertical) counter: per-component counts of set bits over a
 /// stream of packed vectors, stored as bitplanes so additions cost a couple
 /// of word operations per plane instead of one integer add per component.
@@ -505,7 +540,8 @@ fn full_add(a: u64, b: u64, c: u64) -> (u64, u64) {
 ///
 /// The add scratch (pending slots, CSA planes, carry) is allocated on the
 /// first add, so a counter that only ever receives
-/// [`copy_from`](Self::copy_from) holds just its planes and count.
+/// [`copy_from`](Self::copy_from) or [`set_sum`](Self::set_sum) holds just
+/// its planes and count.
 #[derive(Debug, Clone)]
 pub struct BitCounter {
     /// Flat plane storage: plane `k` occupies words
@@ -580,7 +616,8 @@ impl BitCounter {
 
     /// Resets to the empty state, keeping all allocations for reuse.
     pub fn clear(&mut self) {
-        self.planes.fill(0);
+        self.planes.clear();
+        self.n_planes = 0;
         self.n_pending = 0;
         self.count = 0;
     }
@@ -733,6 +770,59 @@ impl BitCounter {
         self.count = src.count;
     }
 
+    /// Makes this counter's bundle state `a + b`: every component's count
+    /// is the sum of its counts in `a` and `b`, at count
+    /// `a.count() + b.count()` — the state adding `b`'s vectors to a copy
+    /// of `a` leaves, built in one carry pass over the planes instead of
+    /// one ripple per vector. Reuses this counter's allocations.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the dimensions differ or either operand holds unflushed
+    /// adds ([`flush`](Self::flush) it first).
+    pub fn set_sum(&mut self, a: &BitCounter, b: &BitCounter) {
+        assert!(self.dim == a.dim && self.dim == b.dim, "counter: dimension mismatch");
+        assert!(a.n_pending == 0 && b.n_pending == 0, "counter: sum of an unflushed counter");
+        let (long, short) = if a.n_planes >= b.n_planes { (a, b) } else { (b, a) };
+        let n_words = words_for(self.dim);
+        self.planes.clear();
+        // Room for a carry out of the top plane, so the copy never moves.
+        self.planes.reserve((long.n_planes + 1) * n_words);
+        self.planes.extend_from_slice(&long.planes);
+        self.n_planes = long.n_planes;
+        self.n_pending = 0;
+        self.count = a.count + b.count;
+        if short.n_planes == 0 {
+            return;
+        }
+        // Add `short` into the copy of `long` one block of words at a time,
+        // so the carry stays in a small local buffer: plane k of both has
+        // weight 2^k, and what carries out of `short`'s top plane ripples
+        // on through the planes above it, into a new top plane at most.
+        const BLOCK: usize = 64;
+        self.planes.resize((self.n_planes + 1) * n_words, 0);
+        for first in (0..n_words).step_by(BLOCK) {
+            let words = first..(first + BLOCK).min(n_words);
+            let mut carry = [0u64; BLOCK];
+            let carry = &mut carry[..words.len()];
+            for k in 0..=self.n_planes {
+                let at = k * n_words;
+                let plane = &mut self.planes[at + words.start..at + words.end];
+                if k < short.n_planes {
+                    let addend = &short.planes[at + words.start..at + words.end];
+                    full_add_step(self.backend, plane, addend, carry);
+                } else if ripple_step(self.backend, plane, carry) == 0 {
+                    break;
+                }
+            }
+        }
+        if self.planes[self.n_planes * n_words..].iter().any(|&w| w != 0) {
+            self.n_planes += 1;
+        } else {
+            self.planes.truncate(self.n_planes * n_words);
+        }
+    }
+
     /// Compresses the full pending group through the CSA tree into four
     /// weight planes, then ripples each into the counter at its depth.
     fn flush_group(&mut self) {
@@ -806,21 +896,7 @@ impl BitCounter {
         }
         for k in start..self.n_planes {
             let plane = &mut self.planes[k * n_words..(k + 1) * n_words];
-            let any = match self.backend {
-                #[cfg(target_arch = "x86_64")]
-                Backend::Avx2 => avx2::ripple_step(plane, &mut self.carry),
-                _ => {
-                    let mut any = 0u64;
-                    for (p, c) in plane.iter_mut().zip(&mut self.carry) {
-                        let new_carry = *p & *c;
-                        *p ^= *c;
-                        *c = new_carry;
-                        any |= new_carry;
-                    }
-                    any
-                }
-            };
-            if any == 0 {
+            if ripple_step(self.backend, plane, &mut self.carry) == 0 {
                 return;
             }
         }

@@ -132,6 +132,17 @@ pub(super) fn ripple_step(plane: &mut [u64], carry: &mut [u64]) -> u64 {
     unsafe { ripple_step_impl(plane, carry) }
 }
 
+/// One full-adder plane update for a counter merge: `plane, carry =
+/// plane ^ addend ^ carry, majority(plane, addend, carry)`.
+#[inline]
+pub(super) fn full_add_step(plane: &mut [u64], addend: &[u64], carry: &mut [u64]) {
+    assert_avx2();
+    debug_assert_eq!(plane.len(), carry.len());
+    debug_assert_eq!(addend.len(), carry.len());
+    // SAFETY: AVX2 availability asserted above.
+    unsafe { full_add_step_impl(plane, addend, carry) }
+}
+
 /// Threshold-compare step for a `0` threshold bit: `gt |= eq & plane; eq
 /// &= !plane`.
 #[inline]
@@ -418,6 +429,28 @@ unsafe fn ripple_step_impl(plane: &mut [u64], carry: &mut [u64]) -> u64 {
             i += 1;
         }
         any
+    }
+}
+
+#[target_feature(enable = "avx2")]
+unsafe fn full_add_step_impl(plane: &mut [u64], addend: &[u64], carry: &mut [u64]) {
+    unsafe {
+        let n = plane.len();
+        let (pp, pa, pc) = (plane.as_mut_ptr(), addend.as_ptr(), carry.as_mut_ptr());
+        let mut i = 0usize;
+        while i + LANE_WORDS <= n {
+            let p = load(pp.add(i));
+            let a = load(pa.add(i));
+            let c = load(pc.add(i));
+            let pa_xor = _mm256_xor_si256(p, a);
+            store(pp.add(i), _mm256_xor_si256(pa_xor, c));
+            store(pc.add(i), _mm256_or_si256(_mm256_and_si256(p, a), _mm256_and_si256(pa_xor, c)));
+            i += LANE_WORDS;
+        }
+        while i < n {
+            (*pp.add(i), *pc.add(i)) = super::full_add(*pp.add(i), *pa.add(i), *pc.add(i));
+            i += 1;
+        }
     }
 }
 

@@ -223,9 +223,10 @@ impl From<&Hypervector> for PackedHypervector {
 }
 
 impl From<&PackedHypervector> for Hypervector {
-    /// Unpacks to bipolar form: `1 → +1`, `0 → -1`.
+    /// Converts to bipolar form, `1 → +1` and `0 → -1`, unpacked on the
+    /// first component read.
     fn from(p: &PackedHypervector) -> Self {
-        Hypervector::from_packed_mirror(p.clone())
+        Hypervector::from_packed(p.clone())
     }
 }
 

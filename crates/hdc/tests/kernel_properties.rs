@@ -384,6 +384,68 @@ mod backend_exactness {
         }
 
         #[test]
+        fn merged_counters_match_ripple_oracle(seed in any::<u64>()) {
+            // `set_sum` of two flushed counters must be the counter that
+            // ripples all their vectors one at a time: merges into fewer,
+            // equal and more planes, an empty counter on either side, even
+            // and odd totals (so parity ties), and carries out of the top
+            // plane, which every other vector being the same one forces.
+            let shapes =
+                [(0, 0), (0, 5), (5, 0), (1, 1), (3, 1), (2, 13), (13, 2), (8, 9), (9, 9), (39, 1)];
+            for dim in DIMS {
+                let vector = |j: usize| match j % 2 {
+                    0 => hv(dim, seed),
+                    _ => hv(dim, seed ^ ((j as u64) << 20)),
+                };
+                let mut carried_out = false;
+                for (na, nb) in shapes {
+                    let mut ripple = BitCounter::new_with_backend(dim, Backend::Portable);
+                    for j in 0..na + nb {
+                        ripple.add_ripple(vector(j).packed().words());
+                    }
+                    for backend in runnable_backends() {
+                        let mut a = BitCounter::new_with_backend(dim, backend);
+                        let mut b = BitCounter::new_with_backend(dim, backend);
+                        for j in 0..na + nb {
+                            let counter = if j < na { &mut a } else { &mut b };
+                            counter.add(vector(j).packed().words());
+                        }
+                        a.flush();
+                        b.flush();
+                        let width = |counts: Vec<u64>| {
+                            u64::BITS - counts.into_iter().max().unwrap_or(0).leading_zeros()
+                        };
+                        let (wa, wb) = (width(a.set_counts()), width(b.set_counts()));
+                        for (first, second) in [(&a, &b), (&b, &a)] {
+                            let mut merged = BitCounter::new_with_backend(dim, backend);
+                            merged.add(hv(dim, !seed).packed().words());
+                            merged.flush();
+                            merged.set_sum(first, second);
+                            let case = format!("backend {backend} dim {dim} shape ({na}, {nb})");
+                            prop_assert_eq!(merged.count(), na + nb, "count {}", case);
+                            prop_assert_eq!(&merged.sums()[..], &ripple.sums()[..], "sums {}", case);
+                            prop_assert_eq!(
+                                &merged.bipolarize_packed()[..],
+                                &ripple.bipolarize_packed()[..],
+                                "bits {}", case
+                            );
+                            let counts = merged.set_counts();
+                            prop_assert_eq!(&counts[..], &ripple.set_counts()[..], "counts {}", case);
+                            carried_out |= width(counts) > wa.max(wb);
+                            // A further add lands on the merged planes as on
+                            // the oracle's.
+                            let mut after = ripple.clone();
+                            after.add_ripple(hv(dim, seed ^ 0xadd).packed().words());
+                            merged.add(hv(dim, seed ^ 0xadd).packed().words());
+                            prop_assert_eq!(&merged.sums()[..], &after.sums()[..], "add {}", case);
+                        }
+                    }
+                }
+                prop_assert!(carried_out, "no merge carried out of its top plane at dim {}", dim);
+            }
+        }
+
+        #[test]
         fn bipolarize_all_ties_is_parity_on_every_backend(seed in any::<u64>(), pairs in 1usize..6) {
             // Adding k vectors and their negations drives every bundling
             // sum to exactly zero — the all-ties worst case. The packed

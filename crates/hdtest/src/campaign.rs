@@ -2,19 +2,24 @@
 //!
 //! A campaign runs Alg. 1 over many unlabeled images with worker threads,
 //! collects per-input [`FuzzRecord`]s and the adversarial corpus, and
-//! derives the Table II / Fig. 7 statistics. Results are bit-reproducible:
-//! each input's RNG stream is derived from `(campaign seed, input index)`,
-//! so worker count and scheduling cannot change any outcome — only the
-//! wall-clock measurement.
+//! derives the Table II / Fig. 7 statistics. Workers take the next input
+//! from one shared cursor, so a worker that drew quick inputs takes more of
+//! them instead of idling while another finishes a fixed stripe. Results
+//! are bit-reproducible: each input's RNG stream is derived from
+//! `(campaign seed, input index)`, so worker count and scheduling cannot
+//! change any outcome — only the wall-clock measurement — and when inputs
+//! fail, the error returned is the lowest-indexed one's.
+//! [`Campaign::run_with_mutation`] runs the same loop on one worker.
 
 use crate::constraint::{Constraint, L2Constraint, NoConstraint};
 use crate::corpus::{AdversarialCorpus, AdversarialExample};
 use crate::error::HdtestError;
-use crate::fuzzer::{FuzzConfig, FuzzOutcome, Fuzzer};
+use crate::fuzzer::{FuzzConfig, FuzzOutcome, FuzzResult, Fuzzer};
 use crate::model::TargetModel;
 use crate::mutation::{Mutation, Strategy};
 use crate::stats::{ClassStats, FuzzRecord, StrategyStats};
 use hdc_data::GrayImage;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// Campaign-level configuration.
@@ -115,102 +120,10 @@ where
     /// # Errors
     ///
     /// Returns [`HdtestError::EmptyInputSet`] for an empty slice, or the
-    /// first model/config error encountered.
+    /// error of the lowest-indexed input that failed.
     pub fn run(&self, images: &[GrayImage]) -> Result<CampaignReport, HdtestError> {
-        if images.is_empty() {
-            return Err(HdtestError::EmptyInputSet);
-        }
-        self.config.fuzz.validate()?;
-        // One-time model preparation (e.g. packing the associative-memory
-        // references) so workers share the ready state instead of racing to
-        // build it on their first fitness query.
-        self.model.warm_up();
         let workers = self.config.effective_workers().min(images.len());
-        let start = Instant::now();
-
-        // Each worker owns an output vector of (index, record, example).
-        type Slot = (usize, FuzzRecord, Option<AdversarialExample>);
-        let worker_outputs: Vec<Result<Vec<Slot>, HdtestError>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers {
-                let config = self.config;
-                let model = self.model;
-                handles.push(scope.spawn(move || -> Result<Vec<Slot>, HdtestError> {
-                    let fuzzer = Fuzzer::new(
-                        model,
-                        config.strategy.image_mutation(),
-                        config.constraint(),
-                        config.fuzz,
-                    );
-                    let mut out = Vec::new();
-                    let mut index = w;
-                    while index < images.len() {
-                        let image = &images[index];
-                        let seed = per_input_seed(config.seed, index);
-                        let result = fuzzer.fuzz_one(image, seed)?;
-                        let (record, example) = match result.outcome {
-                            FuzzOutcome::Adversarial { input, predicted } => {
-                                let example = AdversarialExample::new(
-                                    image.clone(),
-                                    input,
-                                    result.reference_label,
-                                    predicted,
-                                    result.iterations,
-                                );
-                                let record = FuzzRecord {
-                                    input_index: index,
-                                    reference_label: result.reference_label,
-                                    success: true,
-                                    adversarial_label: Some(predicted),
-                                    iterations: result.iterations,
-                                    candidates_evaluated: result.candidates_evaluated,
-                                    l1: Some(example.l1),
-                                    l2: Some(example.l2),
-                                };
-                                (record, Some(example))
-                            }
-                            FuzzOutcome::Exhausted => (
-                                FuzzRecord {
-                                    input_index: index,
-                                    reference_label: result.reference_label,
-                                    success: false,
-                                    adversarial_label: None,
-                                    iterations: result.iterations,
-                                    candidates_evaluated: result.candidates_evaluated,
-                                    l1: None,
-                                    l2: None,
-                                },
-                                None,
-                            ),
-                        };
-                        out.push((index, record, example));
-                        index += workers;
-                    }
-                    Ok(out)
-                }));
-            }
-            handles.into_iter().map(|h| h.join().expect("campaign worker panicked")).collect()
-        });
-
-        let mut slots: Vec<Slot> = Vec::with_capacity(images.len());
-        for output in worker_outputs {
-            slots.extend(output?);
-        }
-        slots.sort_by_key(|(index, _, _)| *index);
-
-        let mut records = Vec::with_capacity(slots.len());
-        let mut corpus = AdversarialCorpus::new();
-        for (_, record, example) in slots {
-            records.push(record);
-            corpus.extend(example);
-        }
-
-        Ok(CampaignReport {
-            strategy: self.config.strategy,
-            records,
-            corpus,
-            elapsed: start.elapsed(),
-        })
+        self.run_on(images, (0..workers).map(|_| self.config.strategy.image_mutation()).collect())
     }
 
     /// Runs the campaign with a caller-supplied mutation (e.g. a
@@ -225,47 +138,73 @@ where
         images: &[GrayImage],
         mutation: Box<dyn Mutation<GrayImage>>,
     ) -> Result<CampaignReport, HdtestError> {
+        self.run_on(images, vec![mutation])
+    }
+
+    /// The one campaign loop: one worker thread per mutation, each with a
+    /// fuzzer over it, takes the next input index from a shared cursor
+    /// until the inputs run out, and the records are put back in input
+    /// order. Seeds are per input, so which worker fuzzes an input
+    /// cannot change its record. A failing input stops the cursor; every
+    /// input handed out before it still finishes, so the error returned is
+    /// always the lowest-indexed one's.
+    fn run_on(
+        &self,
+        images: &[GrayImage],
+        mutations: Vec<Box<dyn Mutation<GrayImage>>>,
+    ) -> Result<CampaignReport, HdtestError> {
         if images.is_empty() {
             return Err(HdtestError::EmptyInputSet);
         }
+        self.config.fuzz.validate()?;
+        // One-time model preparation (e.g. packing the associative-memory
+        // references) so workers share the ready state instead of racing to
+        // build it on their first fitness query.
+        self.model.warm_up();
         let start = Instant::now();
-        let fuzzer = Fuzzer::new(self.model, mutation, self.config.constraint(), self.config.fuzz);
-        let mut records = Vec::with_capacity(images.len());
+        // Relaxed: the cursor only hands out indices; every result comes
+        // back through the workers' joins.
+        let cursor = AtomicUsize::new(0);
+
+        type Slot = (usize, Result<(FuzzRecord, Option<AdversarialExample>), HdtestError>);
+        let mut slots: Vec<Slot> = std::thread::scope(|scope| {
+            let handles: Vec<_> = mutations
+                .into_iter()
+                .map(|mutation| {
+                    let cursor = &cursor;
+                    scope.spawn(move || {
+                        let fuzzer = Fuzzer::new(
+                            self.model,
+                            mutation,
+                            self.config.constraint(),
+                            self.config.fuzz,
+                        );
+                        let mut out = Vec::new();
+                        loop {
+                            let index = cursor.fetch_add(1, Ordering::Relaxed);
+                            let Some(image) = images.get(index) else { break };
+                            let seed = per_input_seed(self.config.seed, index);
+                            let slot =
+                                fuzzer.fuzz_one(image, seed).map(|r| record(index, image, r));
+                            if slot.is_err() {
+                                cursor.store(images.len(), Ordering::Relaxed);
+                            }
+                            out.push((index, slot));
+                        }
+                        out
+                    })
+                })
+                .collect();
+            handles.into_iter().flat_map(|h| h.join().expect("campaign worker panicked")).collect()
+        });
+        slots.sort_by_key(|(index, _)| *index);
+
+        let mut records = Vec::with_capacity(slots.len());
         let mut corpus = AdversarialCorpus::new();
-        for (index, image) in images.iter().enumerate() {
-            let result = fuzzer.fuzz_one(image, per_input_seed(self.config.seed, index))?;
-            match result.outcome {
-                FuzzOutcome::Adversarial { input, predicted } => {
-                    let example = AdversarialExample::new(
-                        image.clone(),
-                        input,
-                        result.reference_label,
-                        predicted,
-                        result.iterations,
-                    );
-                    records.push(FuzzRecord {
-                        input_index: index,
-                        reference_label: result.reference_label,
-                        success: true,
-                        adversarial_label: Some(predicted),
-                        iterations: result.iterations,
-                        candidates_evaluated: result.candidates_evaluated,
-                        l1: Some(example.l1),
-                        l2: Some(example.l2),
-                    });
-                    corpus.push(example);
-                }
-                FuzzOutcome::Exhausted => records.push(FuzzRecord {
-                    input_index: index,
-                    reference_label: result.reference_label,
-                    success: false,
-                    adversarial_label: None,
-                    iterations: result.iterations,
-                    candidates_evaluated: result.candidates_evaluated,
-                    l1: None,
-                    l2: None,
-                }),
-            }
+        for (_, slot) in slots {
+            let (record, example) = slot?;
+            records.push(record);
+            corpus.extend(example);
         }
         Ok(CampaignReport {
             strategy: self.config.strategy,
@@ -274,6 +213,36 @@ where
             elapsed: start.elapsed(),
         })
     }
+}
+
+/// The record of one fuzzed input, and its adversarial example if it
+/// found one.
+fn record(
+    index: usize,
+    image: &GrayImage,
+    result: FuzzResult<GrayImage>,
+) -> (FuzzRecord, Option<AdversarialExample>) {
+    let example = match result.outcome {
+        FuzzOutcome::Adversarial { input, predicted } => Some(AdversarialExample::new(
+            image.clone(),
+            input,
+            result.reference_label,
+            predicted,
+            result.iterations,
+        )),
+        FuzzOutcome::Exhausted => None,
+    };
+    let record = FuzzRecord {
+        input_index: index,
+        reference_label: result.reference_label,
+        success: example.is_some(),
+        adversarial_label: example.as_ref().map(|e| e.adversarial_label),
+        iterations: result.iterations,
+        candidates_evaluated: result.candidates_evaluated,
+        l1: example.as_ref().map(|e| e.l1),
+        l2: example.as_ref().map(|e| e.l2),
+    };
+    (record, example)
 }
 
 /// Derives the per-input RNG seed; pure function of `(campaign, index)`.
@@ -337,9 +306,35 @@ mod tests {
             campaign.run(&imgs).unwrap()
         };
         let solo = run(1);
-        let multi = run(4);
-        assert_eq!(solo.records, multi.records, "scheduling must not change outcomes");
-        assert_eq!(solo.corpus, multi.corpus);
+        for workers in [2, 3, 4, 8] {
+            let multi = run(workers);
+            assert_eq!(solo.records, multi.records, "scheduling changed outcomes at {workers}");
+            assert_eq!(solo.corpus, multi.corpus, "scheduling changed the corpus at {workers}");
+        }
+    }
+
+    #[test]
+    fn lowest_failing_input_is_the_error_at_every_worker_count() {
+        // Inputs 3 and 5 have the wrong shape, with different pixel
+        // counts, so their errors tell them apart.
+        let m = model();
+        let mut imgs = images(9);
+        imgs[3] = GrayImage::from_pixels(2, 5, vec![0; 10]);
+        imgs[5] = GrayImage::from_pixels(4, 5, vec![0; 20]);
+        for workers in [1, 2, 3, 8] {
+            let campaign = Campaign::new(
+                &m,
+                CampaignConfig { workers, l2_budget: None, seed: 5, ..Default::default() },
+            );
+            let err = campaign.run(&imgs).expect_err("inputs 3 and 5 cannot encode");
+            assert!(
+                matches!(
+                    err,
+                    HdtestError::Model(HdcError::InputShapeMismatch { expected: 64, actual: 10 })
+                ),
+                "workers {workers}: {err}"
+            );
+        }
     }
 
     #[test]

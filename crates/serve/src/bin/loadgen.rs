@@ -80,12 +80,9 @@ fn main() -> ExitCode {
     );
     println!("OVERHEAD serve_trace_overhead {:.3}x (floor 0.9)", report.trace_overhead());
     for point in &report.scale_curve {
-        let base = report.scale_curve.first().map_or(point.rps, |p| p.rps);
         println!(
             "scale w{}: {:>8.0} req/s   ({:.3}x vs 1 worker)",
-            point.workers,
-            point.rps,
-            point.rps / base.max(1e-9)
+            point.workers, point.rps, point.speedup
         );
     }
 

@@ -15,6 +15,15 @@
 //! throughput must stay at least at parity with batch-size-1 — for both
 //! kinds — and the mean executed batch size must prove that coalescing
 //! actually happened.
+//!
+//! Each compared row is the median over 21 (`PAIRS`) pairs of identical
+//! windows, one per side, with the side that runs first alternating, so a
+//! slow phase of the host lands on both sides of a pair instead of on one
+//! side's only window. Both sides of a row stay up on their own
+//! long-lived server for all of its pairs (a registry has one batch
+//! config, so the batch-size-1 and coalescing sides cannot share one); the
+//! tracing row toggles tracing on a single server. Only `serve_wal_append`,
+//! whose fsyncs put it far above its floor, keeps one window per side.
 
 use crate::batcher::BatchConfig;
 use crate::client::Client;
@@ -74,11 +83,17 @@ impl LoadgenConfig {
 pub struct ScalePoint {
     /// Predict executor threads (`BatchConfig::predict_workers`).
     pub workers: usize,
-    /// Explicit-batch predict requests/second at that worker count.
+    /// Explicit-batch predict requests/second at that worker count, in the
+    /// round whose ratio to 1 worker is the median.
     pub rps: f64,
+    /// Throughput over 1 worker's in the same round: the median over the
+    /// sweep's rounds.
+    pub speedup: f64,
 }
 
 /// Results of one load run (both coalescing configurations, both kinds).
+/// Each coalesced/batch-size-1 pair of rates comes from the window pair
+/// whose ratio is the median over all pairs.
 #[derive(Debug, Clone)]
 pub struct LoadgenReport {
     /// Predict requests/second with coalescing enabled.
@@ -109,22 +124,23 @@ pub struct LoadgenReport {
     /// Predict requests/second with tracing disabled — the baseline the
     /// tracing tax is measured against — in the same pair.
     pub untraced_rps: f64,
-    /// Mean executed batch size in the coalescing run.
+    /// Mean executed batch size of a coalesced predict window: the median
+    /// over those windows.
     pub coalesced_mean_batch: f64,
     /// Final model version on the coalesced side — the number of
     /// published training batches (proof the train traffic coalesced).
     pub coalesced_final_version: u64,
-    /// p99 latency (µs) in the coalescing run.
+    /// p99 latency (µs) over the coalesced predict windows.
     pub coalesced_p99_us: u64,
-    /// p99 latency (µs) in the batch-size-1 run.
+    /// p99 latency (µs) over the batch-size-1 predict windows.
     pub single_p99_us: u64,
     /// Predict-pool scaling curve: explicit-batch throughput at worker
     /// counts {1, 2, 4, core count} (deduplicated, ascending). Feeds the
     /// `serve_scale_w*` bench rows.
     pub scale_curve: Vec<ScalePoint>,
-    /// Total predict requests sent per side.
+    /// Total predict requests sent per side, over all windows.
     pub requests: usize,
-    /// Total train requests sent per side.
+    /// Total train requests sent per side, over all windows.
     pub train_requests: usize,
     /// The configuration measured.
     pub config: LoadgenConfig,
@@ -164,11 +180,10 @@ impl LoadgenReport {
     pub fn to_bench_json(&self, quick: bool) -> String {
         let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
         // Scaling-curve rows: one `serve_scale_wN` op per swept worker
-        // count, speedup = rps(N) / rps(1). The 1-worker row is exactly
-        // 1.0 by construction; `check_bench_json.py` gates the rest
-        // (multicore must beat 1 worker, 1 core must not regress).
-        let scale_base_rps =
-            self.scale_curve.iter().find(|p| p.workers == 1).map_or(0.0, |p| p.rps);
+        // count, speedup = rps(N) / rps(1) in the median round. The
+        // 1-worker row is exactly 1.0 by construction; `check_bench_json.py`
+        // gates the rest (multicore must beat 1 worker, 1 core must not
+        // regress).
         let scale_rows: String = self
             .scale_curve
             .iter()
@@ -176,11 +191,12 @@ impl LoadgenReport {
                 format!(
                     ",\n    \"serve_scale_w{}\": {{\"scalar_ns\": {:.1}, \"packed_ns\": {:.1}, \
                      \"speedup\": {:.3}, \"note\": \"explicit-batch predict throughput with {} \
-                     predict executor(s) vs 1, {} inputs per request, {} clients, {:.0} rps\"}}",
+                     predict executor(s) vs 1, {} inputs per request, {} clients, {:.0} rps, \
+                     median of {PAIRS} rounds\"}}",
                     point.workers,
-                    1e9 / scale_base_rps.max(1e-9),
+                    1e9 * point.speedup / point.rps.max(1e-9),
                     1e9 / point.rps.max(1e-9),
-                    point.rps / scale_base_rps.max(1e-9),
+                    point.speedup,
                     point.workers,
                     SCALE_BATCH,
                     self.config.clients,
@@ -202,25 +218,26 @@ impl LoadgenReport {
              {cores},\n  \"kernel_backend\": \"{kernel_backend}\",\n  \"ops\": {{\n    \
              \"serve_predict\": {{\"scalar_ns\": {:.1}, \
              \"packed_ns\": {:.1}, \"speedup\": {:.2}, \"note\": \"req latency budget, {} \
-             clients, single={:.0} rps vs coalesced={:.0} rps, p99 {}us vs {}us, kernel \
-             backend {kernel_backend}\"}},\n    \
+             clients, single={:.0} rps vs coalesced={:.0} rps, median of {PAIRS} window pairs, \
+             p99 {}us vs {}us, kernel backend {kernel_backend}\"}},\n    \
              \"serve_predict_binary\": {{\"scalar_ns\": {:.1}, \"packed_ns\": {:.1}, \
              \"speedup\": {:.2}, \"note\": \"binarized model through the identical \
-             kind-generic path, {} clients, single={:.0} rps vs coalesced={:.0} rps\"}},\n    \
+             kind-generic path, {} clients, single={:.0} rps vs coalesced={:.0} rps, median of \
+             {PAIRS} window pairs\"}},\n    \
              \"serve_train\": {{\"scalar_ns\": {:.1}, \"packed_ns\": {:.1}, \"speedup\": {:.2}, \
              \"note\": \"online /v1/train, {} clients, single={:.0} rps vs coalesced={:.0} rps, \
-             {} examples absorbed in {} published batches\"}},\n    \
+             median of {PAIRS} window pairs, {} examples absorbed in {} published batches\"}},\n    \
              \"serve_wal_append\": {{\"scalar_ns\": {:.1}, \"packed_ns\": {:.1}, \"speedup\": \
              {:.2}, \"note\": \"file-backed /v1/train with an fsynced WAL append per published \
              batch, {} clients, single={:.0} rps vs coalesced={:.0} rps, {} examples absorbed \
              in {} fsynced appends\"}},\n    \
              \"serve_trace_overhead\": {{\"scalar_ns\": {:.1}, \"packed_ns\": {:.1}, \
              \"speedup\": {:.3}, \"note\": \"predict throughput with tracing on vs off, {} \
-             clients, median of {TRACE_PAIRS} alternating window pairs on one server, \
+             clients, median of {PAIRS} alternating window pairs on one server, \
              untraced={:.0} rps vs traced={:.0} rps (floor 0.9 = at most 10% tracing tax)\"}},\n    \
              \"serve_coalescing\": {{\"scalar_ns\": 1.0, \"packed_ns\": {:.4}, \"speedup\": \
              {:.2}, \"note\": \"mean executed batch size under concurrent load (1.0 = no \
-             coalescing)\"}}{scale_rows}\n  }}\n}}\n",
+             coalescing), median of {PAIRS} coalesced predict windows\"}}{scale_rows}\n  }}\n}}\n",
             self.config.dim,
             quick,
             single_ns,
@@ -251,7 +268,7 @@ impl LoadgenReport {
             self.config.clients,
             self.single_wal_train_rps,
             self.coalesced_wal_train_rps,
-            self.train_requests,
+            self.config.clients * self.config.train_requests_per_client(),
             self.wal_appends,
             1e9 / self.untraced_rps,
             1e9 / self.traced_rps,
@@ -315,16 +332,6 @@ pub fn synthetic_binary_model(dim: usize, edge: usize) -> BinaryClassifier<Pixel
     }
     model.finalize();
     model
-}
-
-/// One measured side's numbers (`train_rps` only when the train phase
-/// ran).
-struct SideReport {
-    rps: f64,
-    train_rps: Option<f64>,
-    mean_batch: f64,
-    p99_us: u64,
-    final_version: u64,
 }
 
 /// Writes one bar-pattern image (the synthetic model's class geometry)
@@ -412,71 +419,124 @@ fn predict_window(config: &LoadgenConfig, addr: std::net::SocketAddr, per_client
     (config.clients * per_client) as f64 / started.elapsed().as_secs_f64()
 }
 
-/// Runs one measured side: starts a server with `batch` over `model`
-/// (either kind — the serving machinery is identical), saturates it with
-/// `per_client` predicts per client, then — when `train_phase` — with
-/// single-example online trains.
-fn run_side(
-    config: &LoadgenConfig,
-    batch: BatchConfig,
-    model: impl Into<hdc::AnyModel>,
-    per_client: usize,
-    train_phase: bool,
-) -> SideReport {
-    let (metrics, registry, mut server) = start_side(config, batch, model);
-    let addr = server.addr();
+/// One closed-loop train window: `per_client` correctly labeled
+/// single-example `/v1/train` requests from each of the configured clients
+/// (the online-learning shape — each request is one example riding the
+/// coalescer). Returns requests/second.
+fn train_window(config: &LoadgenConfig, addr: std::net::SocketAddr, per_client: usize) -> f64 {
     let edge = config.edge;
-    let rps = predict_window(config, addr, per_client);
-    let mean_batch = metrics.mean_batch_size();
-    let p99_us = metrics.latency_quantile_us(0.99);
-
-    // Train phase on the same live server: every client streams correctly
-    // labeled bar images through `/v1/train` (the closed-loop online
-    // learning shape — each request is one example riding the coalescer).
-    let mut train_rps = None;
-    let mut final_version = 0;
-    if train_phase {
-        let train_per_client = config.train_requests_per_client();
-        let started = Instant::now();
-        std::thread::scope(|scope| {
-            for client_id in 0..config.clients {
-                scope.spawn(move || {
-                    let mut client = Client::connect(addr).expect("connect loadgen train client");
-                    let mut img = vec![0u8; edge * edge];
-                    for i in 0..train_per_client {
-                        let label = bar_image(&mut img, edge, client_id + i);
-                        let body = Client::train_body("default", &img, label);
-                        let response =
-                            client.post("/v1/train", &body).expect("loadgen train request");
-                        assert!(
-                            response.is_success(),
-                            "train failed: {} {}",
-                            response.status,
-                            String::from_utf8_lossy(&response.body)
-                        );
-                    }
-                });
-            }
-        });
-        let train_elapsed = started.elapsed().as_secs_f64();
-        train_rps = Some((config.clients * train_per_client) as f64 / train_elapsed);
-        final_version = registry.get("default").expect("loadgen model").version();
-        assert!(final_version > 0, "train traffic must have published at least one batch");
-    }
-
-    server.shutdown();
-    SideReport { rps, train_rps, mean_batch, p99_us, final_version }
+    let started = Instant::now();
+    std::thread::scope(|scope| {
+        for client_id in 0..config.clients {
+            scope.spawn(move || {
+                let mut client = Client::connect(addr).expect("connect loadgen train client");
+                let mut img = vec![0u8; edge * edge];
+                for i in 0..per_client {
+                    let label = bar_image(&mut img, edge, client_id + i);
+                    let body = Client::train_body("default", &img, label);
+                    let response = client.post("/v1/train", &body).expect("loadgen train request");
+                    assert!(
+                        response.is_success(),
+                        "train failed: {} {}",
+                        response.status,
+                        String::from_utf8_lossy(&response.body)
+                    );
+                }
+            });
+        }
+    });
+    (config.clients * per_client) as f64 / started.elapsed().as_secs_f64()
 }
 
-/// Traced/untraced window pairs behind the `serve_trace_overhead` row;
-/// odd, so the median ratio is one measured pair's.
-const TRACE_PAIRS: usize = 21;
+/// Window pairs behind every compared row; odd, so the median ratio is
+/// one measured pair's.
+const PAIRS: usize = 21;
 
-/// Measures the tracing tax on one server: [`TRACE_PAIRS`] pairs of
-/// identical predict windows with tracing toggled on and off, alternating
-/// which side of a pair runs first so neither side always meets the
-/// colder server. Returns the traced and untraced requests/second of the
-/// pair with the median traced/untraced ratio.
+/// Runs [`PAIRS`] pairs of windows `a` and `b`, alternating which runs
+/// first so neither side always meets the colder host, and returns the
+/// rates `(a, b)` of the pair whose ratio `a / b` is the median.
+fn median_pair(mut a: impl FnMut() -> f64, mut b: impl FnMut() -> f64) -> (f64, f64) {
+    median_ratio(
+        (0..PAIRS)
+            .map(|pair| {
+                if pair % 2 == 0 {
+                    let first = a();
+                    (first, b())
+                } else {
+                    let first = b();
+                    (a(), first)
+                }
+            })
+            .collect(),
+    )
+}
+
+/// The pair `(a, b)` whose ratio `a / b` is the median of `pairs`.
+fn median_ratio(mut pairs: Vec<(f64, f64)>) -> (f64, f64) {
+    pairs.sort_by(|x, y| (x.0 / x.1).total_cmp(&(y.0 / y.1)));
+    pairs[pairs.len() / 2]
+}
+
+/// The dense coalesced/batch-size-1 comparison: predict window pairs, then
+/// train window pairs, on one long-lived server per side.
+struct DenseSides {
+    predict: (f64, f64),
+    train: (f64, f64),
+    mean_batch: f64,
+    p99_us: (u64, u64),
+    final_version: u64,
+}
+
+fn run_dense_sides(config: &LoadgenConfig) -> DenseSides {
+    let model = || synthetic_model(config.dim, config.edge);
+    let (single_metrics, _, mut single) = start_side(config, BatchConfig::batch_size_1(), model());
+    let (metrics, registry, mut coalesced) = start_side(config, config.coalesce, model());
+    let per_client = config.requests_per_client;
+    let mut batch_sizes = Vec::with_capacity(PAIRS);
+    let predict = median_pair(
+        || {
+            let before = metrics.batch_totals();
+            let rps = predict_window(config, coalesced.addr(), per_client);
+            let after = metrics.batch_totals();
+            batch_sizes.push((after.1 - before.1) as f64 / (after.0 - before.0).max(1) as f64);
+            rps
+        },
+        || predict_window(config, single.addr(), per_client),
+    );
+    assert!(single_metrics.mean_batch_size() <= 1.0 + 1e-9, "baseline must not coalesce");
+    let p99_us = (metrics.latency_quantile_us(0.99), single_metrics.latency_quantile_us(0.99));
+    let train_per_client = config.train_requests_per_client();
+    let train = median_pair(
+        || train_window(config, coalesced.addr(), train_per_client),
+        || train_window(config, single.addr(), train_per_client),
+    );
+    let final_version = registry.get("default").expect("loadgen model").version();
+    assert!(final_version > 0, "train traffic must have published at least one batch");
+    single.shutdown();
+    coalesced.shutdown();
+    batch_sizes.sort_by(f64::total_cmp);
+    DenseSides { predict, train, mean_batch: batch_sizes[PAIRS / 2], p99_us, final_version }
+}
+
+/// The binarized twin's coalesced/batch-size-1 predict window pairs.
+fn run_binary_sides(config: &LoadgenConfig) -> (f64, f64) {
+    let model = || synthetic_binary_model(config.dim, config.edge);
+    let (_, _, mut single) = start_side(config, BatchConfig::batch_size_1(), model());
+    let (_, _, mut coalesced) = start_side(config, config.coalesce, model());
+    let per_client = config.binary_requests_per_client();
+    let rates = median_pair(
+        || predict_window(config, coalesced.addr(), per_client),
+        || predict_window(config, single.addr(), per_client),
+    );
+    single.shutdown();
+    coalesced.shutdown();
+    rates
+}
+
+/// Measures the tracing tax on one server: [`PAIRS`] pairs of identical
+/// predict windows with tracing toggled on and off. Returns the traced and
+/// untraced requests/second of the pair with the median traced/untraced
+/// ratio.
 fn run_trace_pairs(config: &LoadgenConfig, per_client: usize) -> (f64, f64) {
     let model = synthetic_model(config.dim, config.edge);
     let (metrics, _registry, mut server) = start_side(config, config.coalesce, model);
@@ -484,20 +544,9 @@ fn run_trace_pairs(config: &LoadgenConfig, per_client: usize) -> (f64, f64) {
         metrics.set_trace_enabled(traced);
         predict_window(config, server.addr(), per_client)
     };
-    let mut pairs: Vec<(f64, f64)> = (0..TRACE_PAIRS)
-        .map(|pair| {
-            if pair % 2 == 0 {
-                let traced = window(true);
-                (traced, window(false))
-            } else {
-                let untraced = window(false);
-                (window(true), untraced)
-            }
-        })
-        .collect();
+    let rates = median_pair(|| window(true), || window(false));
     server.shutdown();
-    pairs.sort_by(|a, b| (a.0 / a.1).total_cmp(&(b.0 / b.1)));
-    pairs[TRACE_PAIRS / 2]
+    rates
 }
 
 /// Runs one **WAL-attached** train side: the model is served *from a
@@ -565,18 +614,12 @@ pub fn scale_worker_counts() -> Vec<usize> {
     counts
 }
 
-/// Runs one scaling-sweep side: a server whose model pool is pinned to
-/// `workers` executors, loaded with explicit-batch predicts (each request
-/// carries [`SCALE_BATCH`] inputs, so each one shards across the pool via
-/// `predict_batch_direct`). Returns requests/second.
-fn run_scale_side(config: &LoadgenConfig, workers: usize) -> f64 {
-    let batch = BatchConfig { predict_workers: workers, ..config.coalesce };
-    let model = synthetic_model(config.dim, config.edge);
-    let (_metrics, _registry, mut server) = start_side(config, batch, model);
-    let addr = server.addr();
-
+/// One scaling-sweep window against a server whose model pool is pinned
+/// to some number of executors: explicit-batch predicts, each request
+/// carrying [`SCALE_BATCH`] inputs, so each one shards across the pool via
+/// `predict_batch_direct`. Returns requests/second.
+fn scale_window(config: &LoadgenConfig, addr: std::net::SocketAddr, per_client: usize) -> f64 {
     let edge = config.edge;
-    let per_client = config.scale_requests_per_client();
     let started = Instant::now();
     std::thread::scope(|scope| {
         for client_id in 0..config.clients {
@@ -601,9 +644,43 @@ fn run_scale_side(config: &LoadgenConfig, workers: usize) -> f64 {
             });
         }
     });
-    let elapsed = started.elapsed().as_secs_f64();
-    server.shutdown();
-    (config.clients * per_client) as f64 / elapsed
+    (config.clients * per_client) as f64 / started.elapsed().as_secs_f64()
+}
+
+/// The predict-pool scaling sweep: one long-lived server per worker count
+/// in [`scale_worker_counts`], and [`PAIRS`] rounds that run one window on
+/// each, starting each round one server further along. Each point is the
+/// round whose throughput ratio to 1 worker is that count's median.
+fn run_scale_rounds(config: &LoadgenConfig) -> Vec<ScalePoint> {
+    let counts = scale_worker_counts();
+    let mut servers: Vec<Server> = counts
+        .iter()
+        .map(|&workers| {
+            let batch = BatchConfig { predict_workers: workers, ..config.coalesce };
+            start_side(config, batch, synthetic_model(config.dim, config.edge)).2
+        })
+        .collect();
+    let per_client = config.scale_requests_per_client();
+    let rounds: Vec<Vec<f64>> = (0..PAIRS)
+        .map(|round| {
+            let mut rps = vec![0.0; servers.len()];
+            for k in 0..servers.len() {
+                let i = (round + k) % servers.len();
+                rps[i] = scale_window(config, servers[i].addr(), per_client);
+            }
+            rps
+        })
+        .collect();
+    servers.iter_mut().for_each(Server::shutdown);
+    // `counts` is ascending and starts at 1 worker, the base of every ratio.
+    counts
+        .iter()
+        .enumerate()
+        .map(|(i, &workers)| {
+            let (rps, base) = median_ratio(rounds.iter().map(|r| (r[i], r[0])).collect());
+            ScalePoint { workers, rps, speedup: rps / base }
+        })
+        .collect()
 }
 
 /// A scratch directory for the WAL sides' model files (and their `.wal`
@@ -640,44 +717,14 @@ impl LoadgenConfig {
 /// Runs all sides (dense + binary, coalesced + batch-size-1) and
 /// assembles the report.
 pub fn run(config: &LoadgenConfig) -> LoadgenReport {
-    let per_client = config.requests_per_client;
-    let single = run_side(
-        config,
-        BatchConfig::batch_size_1(),
-        synthetic_model(config.dim, config.edge),
-        per_client,
-        true,
-    );
-    assert!(single.mean_batch <= 1.0 + 1e-9, "baseline must not coalesce");
-    let coalesced = run_side(
-        config,
-        config.coalesce,
-        synthetic_model(config.dim, config.edge),
-        per_client,
-        true,
-    );
-
+    let dense = run_dense_sides(config);
     // The binarized twin through the identical kind-generic serving path.
-    let binary_per_client = config.binary_requests_per_client();
-    let single_binary = run_side(
-        config,
-        BatchConfig::batch_size_1(),
-        synthetic_binary_model(config.dim, config.edge),
-        binary_per_client,
-        false,
-    );
-    let coalesced_binary = run_side(
-        config,
-        config.coalesce,
-        synthetic_binary_model(config.dim, config.edge),
-        binary_per_client,
-        false,
-    );
+    let (coalesced_binary_rps, single_binary_rps) = run_binary_sides(config);
 
     // Tracing overhead: the identical predict-only load on one server,
     // tracing on vs off, so the throughput ratio isolates the
     // per-request tracing tax.
-    let (traced_rps, untraced_rps) = run_trace_pairs(config, per_client);
+    let (traced_rps, untraced_rps) = run_trace_pairs(config, config.requests_per_client);
 
     // WAL sides: the same closed-loop train traffic, but file-backed so
     // every acked batch is durable (fsynced append) before it publishes.
@@ -700,33 +747,29 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
         run_wal_side(config, config.coalesce, &wal_dir.join("coalesced.hdc"), wal_per_client);
     let _ = std::fs::remove_dir_all(&wal_dir);
 
-    // The predict-pool scaling sweep: the same explicit-batch load at
-    // every tested worker count; ratios against the 1-worker point are
-    // the `serve_scale_w*` bench rows.
-    let scale_curve = scale_worker_counts()
-        .into_iter()
-        .map(|workers| ScalePoint { workers, rps: run_scale_side(config, workers) })
-        .collect();
+    // The predict-pool scaling sweep: ratios against the 1-worker server
+    // are the `serve_scale_w*` bench rows.
+    let scale_curve = run_scale_rounds(config);
 
     LoadgenReport {
-        coalesced_rps: coalesced.rps,
-        single_rps: single.rps,
-        coalesced_binary_rps: coalesced_binary.rps,
-        single_binary_rps: single_binary.rps,
-        coalesced_train_rps: coalesced.train_rps.expect("dense side ran the train phase"),
-        single_train_rps: single.train_rps.expect("dense side ran the train phase"),
+        coalesced_rps: dense.predict.0,
+        single_rps: dense.predict.1,
+        coalesced_binary_rps,
+        single_binary_rps,
+        coalesced_train_rps: dense.train.0,
+        single_train_rps: dense.train.1,
         coalesced_wal_train_rps,
         single_wal_train_rps,
         wal_appends,
         traced_rps,
         untraced_rps,
-        coalesced_mean_batch: coalesced.mean_batch,
-        coalesced_final_version: coalesced.final_version,
-        coalesced_p99_us: coalesced.p99_us,
-        single_p99_us: single.p99_us,
+        coalesced_mean_batch: dense.mean_batch,
+        coalesced_final_version: dense.final_version,
+        coalesced_p99_us: dense.p99_us.0,
+        single_p99_us: dense.p99_us.1,
         scale_curve,
-        requests: config.clients * config.requests_per_client,
-        train_requests: config.clients * config.train_requests_per_client(),
+        requests: PAIRS * config.clients * config.requests_per_client,
+        train_requests: PAIRS * config.clients * config.train_requests_per_client(),
         config: config.clone(),
     }
 }
@@ -749,7 +792,7 @@ mod tests {
             },
         };
         let report = run(&config);
-        assert_eq!(report.requests, 160);
+        assert_eq!(report.requests, 160 * PAIRS);
         assert!(report.single_rps > 0.0 && report.coalesced_rps > 0.0);
         assert!(report.single_binary_rps > 0.0 && report.coalesced_binary_rps > 0.0);
         assert!(report.single_train_rps > 0.0 && report.coalesced_train_rps > 0.0);
@@ -773,6 +816,7 @@ mod tests {
         assert!(json.contains("serve_scale_w1"), "{json}");
         assert!(!report.scale_curve.is_empty(), "scaling sweep must have run");
         assert_eq!(report.scale_curve[0].workers, 1, "curve starts at 1 worker");
+        assert_eq!(report.scale_curve[0].speedup, 1.0, "1 worker is the base of every ratio");
         for point in &report.scale_curve {
             assert!(point.rps > 0.0, "scale point at {} workers measured nothing", point.workers);
             assert!(json.contains(&format!("serve_scale_w{}", point.workers)), "{json}");

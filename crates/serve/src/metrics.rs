@@ -140,12 +140,14 @@ pub struct Metrics {
     feedback_applied: AtomicU64,
     /// Overload/robustness accounting: requests shed because a job queue
     /// was full (503), requests whose queue wait expired (504), jobs
-    /// quarantined because the model panicked executing them (500), and
-    /// worker threads restarted after an escaped panic.
+    /// quarantined because the model panicked executing them (500),
+    /// worker threads restarted after an escaped panic, and requests whose
+    /// handler panicked outside the model (500).
     shed_total: AtomicU64,
     deadline_expired_total: AtomicU64,
     worker_panics_total: AtomicU64,
     worker_respawns_total: AtomicU64,
+    handler_panics_total: AtomicU64,
     /// Queue depth observed by each successful enqueue (jobs already
     /// waiting), in power-of-two buckets.
     queue_depth_hist: [AtomicU64; QUEUE_DEPTH_BUCKETS],
@@ -219,6 +221,7 @@ impl Metrics {
             deadline_expired_total: AtomicU64::new(0),
             worker_panics_total: AtomicU64::new(0),
             worker_respawns_total: AtomicU64::new(0),
+            handler_panics_total: AtomicU64::new(0),
             queue_depth_hist: std::array::from_fn(|_| AtomicU64::new(0)),
             pool_fanouts_total: AtomicU64::new(0),
             pool_occupancy_hist: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -321,6 +324,12 @@ impl Metrics {
     /// per-batch isolation.
     pub fn on_worker_respawn(&self) {
         self.worker_respawns_total.fetch_add(1, Relaxed);
+    }
+
+    /// Counts one request whose handler panicked (answered 500 by the
+    /// accept thread, which keeps serving).
+    pub fn on_handler_panic(&self) {
+        self.handler_panics_total.fetch_add(1, Relaxed);
     }
 
     /// Records the queue depth (jobs already waiting) one successful
@@ -536,6 +545,11 @@ impl Metrics {
         self.worker_respawns_total.load(Relaxed)
     }
 
+    /// Requests whose handler panicked so far (500).
+    pub fn handler_panics_total(&self) -> u64 {
+        self.handler_panics_total.load(Relaxed)
+    }
+
     /// Snapshot of the queue-depth histogram counts, one per
     /// power-of-two bucket (bucket 0 = empty queue, last = open-ended).
     pub fn queue_depth_hist(&self) -> Vec<u64> {
@@ -562,6 +576,12 @@ impl Metrics {
             return 0.0;
         }
         self.train_batch_examples.load(Relaxed) as f64 / count as f64
+    }
+
+    /// Executed batches and the inputs they held, so far: a window's mean
+    /// batch size is the ratio of the two deltas.
+    pub(crate) fn batch_totals(&self) -> (u64, u64) {
+        (self.batch_count.load(Relaxed), self.batch_inputs.load(Relaxed))
     }
 
     /// Mean executed batch size (0 when nothing ran yet).
@@ -725,6 +745,7 @@ impl Metrics {
                     ),
                     ("worker_panics_total", Json::from(self.worker_panics_total.load(Relaxed))),
                     ("worker_respawns_total", Json::from(self.worker_respawns_total.load(Relaxed))),
+                    ("handler_panics_total", Json::from(self.handler_panics_total.load(Relaxed))),
                     ("queue_depth_hist", Json::Arr(queue_depth_hist)),
                 ]),
             ),
@@ -869,6 +890,12 @@ impl Metrics {
             "hdc_worker_respawns_total",
             "Batcher workers restarted after an escaped panic.",
             self.worker_respawns_total.load(Relaxed),
+        );
+        counter(
+            &mut out,
+            "hdc_handler_panics_total",
+            "Requests whose handler panicked (500); the accept thread kept serving.",
+            self.handler_panics_total.load(Relaxed),
         );
         counter(
             &mut out,

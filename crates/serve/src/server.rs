@@ -5,7 +5,10 @@
 //! the peer closes (so the pool size bounds concurrent connections, not
 //! requests). Handlers never panic outward: every failure becomes a JSON
 //! error response with the right status, and only transport errors drop a
-//! connection.
+//! connection. That holds by construction — each request is routed under
+//! `catch_unwind`, so a handler that panics anyway answers 500 with its
+//! request id, counts in `handler_panics_total` and ends its trace at the
+//! `panic` terminal, and the accept thread goes on serving.
 
 use crate::error::ServeError;
 use crate::http::{self, HttpError, Request};
@@ -15,6 +18,7 @@ use crate::registry::Registry;
 use crate::trace::{self, ActiveTrace, Stage, TraceRecord, STAGE_NAMES};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -236,7 +240,7 @@ fn serve_connection(
                     active.record_span(Stage::HeadParse, timings.first_byte, timings.head_done);
                     active.record_span(Stage::BodyRead, timings.head_done, timings.body_done);
                 }
-                let mut reply = route(&request, registry, active.as_ref());
+                let mut reply = route_isolated(&request, registry, active.as_ref());
                 registry.metrics().on_response(reply.status);
                 reply.headers.push(("x-request-id".to_owned(), trace_id));
                 let write_started = Instant::now();
@@ -368,10 +372,30 @@ fn require_leader(registry: &Registry) -> Result<(), ServeError> {
     }
 }
 
+/// [`route`] under `catch_unwind`: a handler that panics answers 500,
+/// counts in `handler_panics_total` and marks its trace's terminal
+/// `panic`, and the calling accept thread survives it.
+fn route_isolated(
+    request: &Request,
+    registry: &Registry,
+    active: Option<&Arc<ActiveTrace>>,
+) -> Reply {
+    catch_unwind(AssertUnwindSafe(|| route(request, registry, active))).unwrap_or_else(|_| {
+        registry.metrics().on_handler_panic();
+        if let Some(active) = active {
+            active.set_terminal("panic");
+        }
+        let error = ServeError::Panicked("request handler panicked".into());
+        json_reply(error.status(), &error.body())
+    })
+}
+
 /// Dispatches one parsed request to its handler; the error arm turns any
 /// [`ServeError`] into its status, extra headers (`Allow` on 405) and
 /// JSON body.
 fn route(request: &Request, registry: &Registry, active: Option<&Arc<ActiveTrace>>) -> Reply {
+    #[cfg(test)]
+    tests::maybe_inject_handler_panic(request);
     // The path may carry a query string (`/v1/deltas?model=..&from=..`):
     // split it off so routing matches the bare path.
     let (path, query) = match request.path.split_once('?') {
@@ -960,6 +984,16 @@ mod tests {
         Request { method: "GET".into(), path: path.into(), headers: vec![], body: vec![] }
     }
 
+    /// Request ids that make [`route`] panic in test builds, standing in
+    /// for a handler bug.
+    const PANIC_ID: &str = "inject-handler-panic";
+
+    pub(super) fn maybe_inject_handler_panic(request: &Request) {
+        if request.header("x-request-id").is_some_and(|id| id.starts_with(PANIC_ID)) {
+            panic!("injected handler panic");
+        }
+    }
+
     /// Routes a request and hands back the JSON-route shape the tests
     /// assert on (status, headers, body text).
     fn call(request: &Request, registry: &Registry) -> (u16, Vec<(String, String)>, String) {
@@ -1308,5 +1342,43 @@ mod tests {
         assert_ne!(addr.port(), 0);
         server.shutdown();
         server.shutdown(); // idempotent
+    }
+
+    #[test]
+    fn a_panicking_handler_answers_500_and_its_thread_serves_on() {
+        // One more panicking request than there are accept threads: were
+        // a panic to kill its thread, the last one would find none left.
+        let registry = registry_with_model();
+        let workers = 2;
+        let config = ServerConfig { workers, ..ServerConfig::default() };
+        let mut server = Server::start(Arc::clone(&registry), &config).unwrap();
+        for k in 0..=workers {
+            let id = format!("{PANIC_ID}-{k}");
+            let mut client = crate::client::Client::connect(server.addr()).unwrap();
+            let response = client
+                .request_with_headers("GET", "/healthz/live", &[("x-request-id", &id)], None)
+                .expect("a panicking handler still answers");
+            assert_eq!(response.status, 500, "{}", String::from_utf8_lossy(&response.body));
+            assert_eq!(response.header("x-request-id"), Some(id.as_str()));
+        }
+        let mut client = crate::client::Client::connect(server.addr()).unwrap();
+        assert_eq!(client.get("/healthz/live").unwrap().status, 200);
+
+        let metrics = registry.metrics();
+        assert_eq!(metrics.handler_panics_total(), workers as u64 + 1);
+        let json = String::from_utf8(client.get("/metrics").unwrap().body).unwrap();
+        assert!(json.contains(&format!("\"handler_panics_total\":{}", workers + 1)), "{json}");
+        let text = client.get("/metrics?format=prometheus").unwrap().body;
+        let text = String::from_utf8(text).unwrap();
+        assert!(text.contains(&format!("hdc_handler_panics_total {}", workers + 1)), "{text}");
+        let panicked: Vec<_> = metrics
+            .traces()
+            .snapshot()
+            .into_iter()
+            .filter(|record| record.id.starts_with(PANIC_ID))
+            .collect();
+        assert_eq!(panicked.len(), workers + 1);
+        assert!(panicked.iter().all(|r| r.terminal == "panic" && r.status == 500), "{panicked:?}");
+        server.shutdown();
     }
 }
