@@ -65,15 +65,16 @@
 //! use hdc_serve::metrics::Metrics;
 //! use hdc_serve::registry::SharedModel;
 //! use hdc_serve::loadgen::synthetic_model;
+//! use hdc_serve::trace::Trace;
 //! use std::sync::Arc;
 //!
 //! let shared = Arc::new(SharedModel::standalone(synthetic_model(1_024, 4)));
 //! let batcher = Batcher::start(Arc::clone(&shared), Arc::new(Metrics::new()),
 //!                              BatchConfig::default());
-//! let before = batcher.predict(vec![0u8; 16])?.class;
-//! let outcome = batcher.train(vec![(vec![0u8; 16], 1)])?;   // one online example
+//! let before = batcher.predict(vec![0u8; 16], Trace::off())?.class;
+//! let outcome = batcher.train(vec![(vec![0u8; 16], 1)], Trace::off())?; // one online example
 //! assert_eq!((outcome.applied, outcome.version), (1, 1));
-//! let _after = batcher.predict(vec![0u8; 16])?; // served by the updated snapshot
+//! let _after = batcher.predict(vec![0u8; 16], Trace::off())?; // served by the updated snapshot
 //! # let _ = before;
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -81,7 +82,7 @@
 use crate::error::ServeError;
 use crate::metrics::Metrics;
 use crate::registry::SharedModel;
-use crate::trace::{ActiveTrace, Stage};
+use crate::trace::{Stage, Trace};
 use crate::wal::{self, DeltaOp, DeltaRecord, Wal};
 use hdc::{AnyModel, Model, Prediction};
 use std::collections::VecDeque;
@@ -213,25 +214,25 @@ pub struct FeedbackOutcome {
 type Reply<T> = mpsc::Sender<Result<T, ServeError>>;
 
 /// One queued request awaiting execution. Client jobs carry the
-/// request's [`ActiveTrace`] (when tracing is on) so the worker can
-/// stamp queue-wait/execute/WAL/publish spans and fault terminals onto
-/// the trace the HTTP layer will finalize.
+/// request's [`Trace`] so the worker can stamp queue-wait/execute/WAL/
+/// publish spans and fault terminals onto the trace the HTTP layer will
+/// finalize.
 enum Job {
     Predict {
         input: Vec<u8>,
         reply: Reply<Prediction>,
-        trace: Option<Arc<ActiveTrace>>,
+        trace: Trace,
     },
     Train {
         examples: Vec<(Vec<u8>, usize)>,
         reply: Reply<TrainOutcome>,
-        trace: Option<Arc<ActiveTrace>>,
+        trace: Trace,
     },
     Feedback {
         input: Vec<u8>,
         label: usize,
         reply: Reply<FeedbackOutcome>,
-        trace: Option<Arc<ActiveTrace>>,
+        trace: Trace,
     },
     /// A hot-reload replacement model (boxed: it dwarfs the other
     /// variants). Executed in queue order by the single writer, which is
@@ -264,14 +265,15 @@ pub(crate) enum WalSwap {
 }
 
 impl Job {
-    /// The request trace riding this job, if any (swaps are operator
-    /// actions and never traced).
-    fn trace(&self) -> Option<&Arc<ActiveTrace>> {
+    /// The request trace riding this job (swaps are operator actions and
+    /// ride an off trace).
+    fn trace(&self) -> &Trace {
+        static UNTRACED: Trace = Trace::off();
         match self {
             Job::Predict { trace, .. } | Job::Train { trace, .. } | Job::Feedback { trace, .. } => {
-                trace.as_ref()
+                trace
             }
-            Job::Swap { .. } => None,
+            Job::Swap { .. } => &UNTRACED,
         }
     }
 
@@ -490,9 +492,7 @@ impl Batcher {
             }
             if sheddable && queue.jobs.len() >= self.config.max_queue {
                 self.metrics.on_shed();
-                if let Some(trace) = job.trace() {
-                    trace.set_terminal("shed");
-                }
+                job.trace().set_terminal("shed");
                 return Err(ServeError::Overloaded(format!(
                     "queue full ({} jobs waiting); retry later",
                     queue.jobs.len()
@@ -508,28 +508,15 @@ impl Batcher {
     }
 
     /// Enqueues one input and blocks until its prediction (or error) is
-    /// ready. Safe to call from any number of threads.
+    /// ready. Safe to call from any number of threads. The worker stamps
+    /// queue-wait and execute spans onto `trace`, and fault paths (shed,
+    /// queue deadline, panic) mark its terminal stage.
     ///
     /// # Errors
     ///
     /// Propagates per-input compute errors (wrong shape → 400); returns
     /// [`ServeError::Internal`] if the batcher is shutting down.
-    pub fn predict(&self, input: Vec<u8>) -> Result<Prediction, ServeError> {
-        self.predict_traced(input, None)
-    }
-
-    /// [`predict`](Self::predict) carrying the request's trace: the
-    /// worker stamps queue-wait and execute spans onto it, and fault
-    /// paths (shed, queue deadline, panic) mark its terminal stage.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`predict`](Self::predict).
-    pub fn predict_traced(
-        &self,
-        input: Vec<u8>,
-        trace: Option<Arc<ActiveTrace>>,
-    ) -> Result<Prediction, ServeError> {
+    pub fn predict(&self, input: Vec<u8>, trace: Trace) -> Result<Prediction, ServeError> {
         let (reply, receive) = mpsc::channel();
         self.enqueue(Job::Predict { input, reply, trace }, &receive)
     }
@@ -549,7 +536,7 @@ impl Batcher {
     pub fn predict_batch_direct(
         &self,
         inputs: Vec<Vec<u8>>,
-        trace: Option<&Arc<ActiveTrace>>,
+        trace: &Trace,
     ) -> Result<Vec<Prediction>, ServeError> {
         let model = self.model.snapshot();
         let pool = self.pool.as_ref().filter(|p| p.workers() > 1 && inputs.len() > 1);
@@ -565,9 +552,7 @@ impl Batcher {
             }))
             .unwrap_or_else(|_| {
                 self.metrics.on_worker_panic();
-                if let Some(trace) = trace {
-                    trace.set_terminal("panic");
-                }
+                trace.set_terminal("panic");
                 Err(ServeError::Panicked("model panicked executing this batch".into()))
             });
         };
@@ -580,7 +565,7 @@ impl Batcher {
             self.metrics.on_pool_shard(shard.len());
             let model = Arc::clone(&model);
             let metrics = Arc::clone(&self.metrics);
-            let shard_trace = trace.cloned();
+            let shard_trace = trace.clone();
             let result_tx = result_tx.clone();
             pool.dispatch(Box::new(move || {
                 let shard_started = Instant::now();
@@ -595,11 +580,9 @@ impl Batcher {
                     metrics.on_worker_panic();
                     Err(ServeError::Panicked("model panicked executing this batch".into()))
                 });
-                if let Some(trace) = &shard_trace {
-                    // Shards of one request accumulate into its single
-                    // shard_execute slot (record() adds).
-                    trace.record_span(Stage::ShardExecute, shard_started, Instant::now());
-                }
+                // Shards of one request accumulate into its single
+                // shard_execute slot (record() adds).
+                shard_trace.record_since(Stage::ShardExecute, shard_started);
                 let _ = result_tx.send((index, outcome));
             }));
         }
@@ -622,16 +605,12 @@ impl Batcher {
                 Some(Ok(shard)) => predictions.extend(shard),
                 Some(Err(err)) => {
                     if matches!(err, ServeError::Panicked(_)) {
-                        if let Some(trace) = trace {
-                            trace.set_terminal("panic");
-                        }
+                        trace.set_terminal("panic");
                     }
                     return Err(err);
                 }
                 None => {
-                    if let Some(trace) = trace {
-                        trace.set_terminal("panic");
-                    }
+                    trace.set_terminal("panic");
                     return Err(ServeError::Panicked("model panicked executing this batch".into()));
                 }
             }
@@ -641,28 +620,20 @@ impl Batcher {
 
     /// Enqueues labeled examples and blocks until they are absorbed into
     /// the model (or rejected). Concurrent train requests coalesce into a
-    /// single `partial_fit_batch` and share one version bump.
+    /// single `partial_fit_batch` and share one version bump. Besides the
+    /// spans [`predict`](Self::predict) stamps, the worker stamps
+    /// WAL-append and publish spans onto `trace`, and the delta record
+    /// streamed to followers carries the batch's first trace id.
     ///
     /// # Errors
     ///
     /// Propagates per-example shape/label errors (the request's own
     /// examples are then not applied); returns [`ServeError::Internal`]
     /// if the batcher is shutting down.
-    pub fn train(&self, examples: Vec<(Vec<u8>, usize)>) -> Result<TrainOutcome, ServeError> {
-        self.train_traced(examples, None)
-    }
-
-    /// [`train`](Self::train) carrying the request's trace: the worker
-    /// additionally stamps WAL-append and publish spans, and the delta
-    /// record streamed to followers carries the batch's first trace id.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`train`](Self::train).
-    pub fn train_traced(
+    pub fn train(
         &self,
         examples: Vec<(Vec<u8>, usize)>,
-        trace: Option<Arc<ActiveTrace>>,
+        trace: Trace,
     ) -> Result<TrainOutcome, ServeError> {
         if examples.is_empty() {
             return Err(ServeError::BadRequest("training request carries no examples".into()));
@@ -673,27 +644,17 @@ impl Batcher {
 
     /// Enqueues one feedback round (true label for an input) and blocks
     /// until the adaptive update — applied only if the model mispredicts —
-    /// is published.
+    /// is published, stamping `trace` as [`train`](Self::train) does.
     ///
     /// # Errors
     ///
     /// Propagates shape/label errors; returns [`ServeError::Internal`] if
     /// the batcher is shutting down.
-    pub fn feedback(&self, input: Vec<u8>, label: usize) -> Result<FeedbackOutcome, ServeError> {
-        self.feedback_traced(input, label, None)
-    }
-
-    /// [`feedback`](Self::feedback) carrying the request's trace, with
-    /// the same span/terminal stamping as [`train_traced`](Self::train_traced).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`feedback`](Self::feedback).
-    pub fn feedback_traced(
+    pub fn feedback(
         &self,
         input: Vec<u8>,
         label: usize,
-        trace: Option<Arc<ActiveTrace>>,
+        trace: Trace,
     ) -> Result<FeedbackOutcome, ServeError> {
         let (reply, receive) = mpsc::channel();
         self.enqueue(Job::Feedback { input, label, reply, trace }, &receive)
@@ -813,17 +774,13 @@ fn worker_loop(
         let now = Instant::now();
         let mut batch = Vec::with_capacity(drained.len());
         for queued in drained {
-            if let Some(trace) = queued.job.trace() {
-                trace.record_span(Stage::QueueWait, queued.enqueued_at, now);
-            }
+            queued.job.trace().record_span(Stage::QueueWait, queued.enqueued_at, now);
             let expired = !config.queue_deadline.is_zero()
                 && !matches!(queued.job, Job::Swap { .. })
                 && now.duration_since(queued.enqueued_at) > config.queue_deadline;
             if expired {
                 metrics.on_deadline_expired();
-                if let Some(trace) = queued.job.trace() {
-                    trace.set_terminal("queue_deadline");
-                }
+                queued.job.trace().set_terminal("queue_deadline");
                 queued.job.reject(ServeError::DeadlineExpired(format!(
                     "request waited {:?} in queue (deadline {:?})",
                     now.duration_since(queued.enqueued_at),
@@ -886,7 +843,7 @@ fn flush(
     }
 }
 
-type PredictJob = (Vec<u8>, Reply<Prediction>, Option<Arc<ActiveTrace>>);
+type PredictJob = (Vec<u8>, Reply<Prediction>, Trace);
 
 /// Runs one predict inside its own `catch_unwind`: a panicking model
 /// poisons exactly this job (500 `Panicked`, counted in
@@ -896,7 +853,7 @@ fn predict_quarantined(
     model: &AnyModel,
     metrics: &Metrics,
     input: &[u8],
-    trace: Option<&Arc<ActiveTrace>>,
+    trace: &Trace,
 ) -> Result<Prediction, ServeError> {
     catch_unwind(AssertUnwindSafe(|| {
         maybe_inject_panic(input);
@@ -904,9 +861,7 @@ fn predict_quarantined(
     }))
     .unwrap_or_else(|_| {
         metrics.on_worker_panic();
-        if let Some(trace) = trace {
-            trace.set_terminal("panic");
-        }
+        trace.set_terminal("panic");
         Err(ServeError::Panicked("model panicked executing this request".into()))
     })
 }
@@ -927,10 +882,8 @@ fn execute_predicts(
     let started = Instant::now();
     if batch.len() == 1 {
         let (input, reply, trace) = &batch[0];
-        let result = predict_quarantined(model, metrics, input, trace.as_ref());
-        if let Some(trace) = trace {
-            trace.record_span(Stage::Execute, started, Instant::now());
-        }
+        let result = predict_quarantined(model, metrics, input, trace);
+        trace.record_since(Stage::Execute, started);
         let _ = reply.send(result);
         return;
     }
@@ -986,12 +939,10 @@ fn predict_shard(
         Ok(Ok(predictions)) => {
             let finished = Instant::now();
             for ((_, reply, trace), prediction) in shard.iter().zip(predictions) {
-                if let Some(trace) = trace {
-                    if pooled {
-                        trace.record_span(Stage::ShardExecute, shard_started, finished);
-                    }
-                    trace.record_span(Stage::Execute, batch_started, finished);
+                if pooled {
+                    trace.record_span(Stage::ShardExecute, shard_started, finished);
                 }
+                trace.record_span(Stage::Execute, batch_started, finished);
                 let _ = reply.send(Ok(prediction));
             }
         }
@@ -1002,14 +953,12 @@ fn predict_shard(
         // as panics. Other shards never notice.
         Ok(Err(_)) | Err(_) => {
             for (input, reply, trace) in shard {
-                let result = predict_quarantined(model, metrics, &input, trace.as_ref());
+                let result = predict_quarantined(model, metrics, &input, &trace);
                 let finished = Instant::now();
-                if let Some(trace) = &trace {
-                    if pooled {
-                        trace.record_span(Stage::ShardExecute, shard_started, finished);
-                    }
-                    trace.record_span(Stage::Execute, batch_started, finished);
+                if pooled {
+                    trace.record_span(Stage::ShardExecute, shard_started, finished);
                 }
+                trace.record_span(Stage::Execute, batch_started, finished);
                 let _ = reply.send(result);
             }
         }
@@ -1045,13 +994,10 @@ fn execute_updates(shared: &SharedModel, metrics: &Metrics, jobs: Vec<Job>) {
     // Partition, preserving queue order within each kind. Every traced
     // job in the coalesced batch shares the execute/WAL/publish spans —
     // that is the wall time its acknowledgement actually waited on.
+    let traces: Vec<Trace> = jobs.iter().map(|job| job.trace().clone()).collect();
     let mut trains = Vec::new();
     let mut feedbacks = Vec::new();
-    let mut traces: Vec<Arc<ActiveTrace>> = Vec::new();
     for job in jobs {
-        if let Some(trace) = job.trace() {
-            traces.push(Arc::clone(trace));
-        }
         match job {
             Job::Train { examples, reply, trace } => trains.push((examples, reply, trace)),
             Job::Feedback { input, label, reply, trace } => {
@@ -1118,9 +1064,7 @@ fn execute_updates(shared: &SharedModel, metrics: &Metrics, jobs: Vec<Job>) {
                         Ok(Err(e)) => Err(ServeError::from(e)),
                         Err(_) => {
                             metrics.on_worker_panic();
-                            if let Some(trace) = &trace {
-                                trace.set_terminal("panic");
-                            }
+                            trace.set_terminal("panic");
                             Err(ServeError::Panicked(
                                 "model panicked absorbing this request's examples".into(),
                             ))
@@ -1156,9 +1100,7 @@ fn execute_updates(shared: &SharedModel, metrics: &Metrics, jobs: Vec<Job>) {
             Ok(Err(e)) => Err(ServeError::from(e)),
             Err(_) => {
                 metrics.on_worker_panic();
-                if let Some(trace) = &trace {
-                    trace.set_terminal("panic");
-                }
+                trace.set_terminal("panic");
                 Err(ServeError::Panicked("model panicked applying this feedback".into()))
             }
         };
@@ -1182,7 +1124,7 @@ fn execute_updates(shared: &SharedModel, metrics: &Metrics, jobs: Vec<Job>) {
         let record = DeltaRecord {
             version: shared.version() + 1,
             ops,
-            trace: traces.first().map(|t| t.id().to_owned()),
+            trace: traces.iter().find_map(Trace::id).map(str::to_owned),
         };
         let mut slot = shared.wal_lock();
         if let Some(log) = slot.as_mut() {
@@ -1280,7 +1222,7 @@ mod tests {
         let metrics = Arc::new(Metrics::new());
         let batcher =
             Batcher::start(Arc::clone(&shared), Arc::clone(&metrics), BatchConfig::default());
-        let got = batcher.predict(vec![224u8; 16]).unwrap();
+        let got = batcher.predict(vec![224u8; 16], Trace::off()).unwrap();
         assert_eq!(got.class, shared.snapshot().predict(&[224u8; 16][..]).unwrap().class);
     }
 
@@ -1321,7 +1263,7 @@ mod tests {
             let metrics = Arc::new(Metrics::new());
             let config = BatchConfig { predict_workers: workers, ..BatchConfig::default() };
             let batcher = Batcher::start(Arc::clone(&shared), metrics, config);
-            let answers = batcher.predict_batch_direct(inputs.clone(), None).unwrap();
+            let answers = batcher.predict_batch_direct(inputs.clone(), &Trace::off()).unwrap();
             for (actual, expected) in answers.iter().zip(&direct) {
                 assert_eq!(actual.class, expected.class);
                 assert_eq!(
@@ -1348,7 +1290,7 @@ mod tests {
                 let batcher = Arc::clone(&batcher);
                 scope.spawn(move || {
                     for _ in 0..5 {
-                        batcher.predict(vec![224u8; 16]).unwrap();
+                        batcher.predict(vec![224u8; 16], Trace::off()).unwrap();
                     }
                 });
             }
@@ -1372,7 +1314,7 @@ mod tests {
         let batcher = Batcher::start(model(), Arc::new(Metrics::new()), config);
         let started = Instant::now();
         for _ in 0..8 {
-            batcher.predict(vec![224u8; 16]).unwrap();
+            batcher.predict(vec![224u8; 16], Trace::off()).unwrap();
         }
         let elapsed = started.elapsed();
         assert!(elapsed < Duration::from_secs(1), "8 lone predicts took {elapsed:?}");
@@ -1396,7 +1338,9 @@ mod tests {
         };
         let before = answers(&snapshot);
         for i in 0..6u8 {
-            batcher.train(vec![(vec![i.wrapping_mul(40); 16], usize::from(i % 2))]).unwrap();
+            batcher
+                .train(vec![(vec![i.wrapping_mul(40); 16], usize::from(i % 2))], Trace::off())
+                .unwrap();
         }
         assert_eq!(shared.version(), 6);
         assert_eq!(answers(&snapshot), before, "a published train leaked into an older snapshot");
@@ -1414,7 +1358,7 @@ mod tests {
                 let batcher = Arc::clone(&batcher);
                 scope.spawn(move || {
                     for _ in 0..10 {
-                        batcher.predict(vec![0u8; 16]).unwrap();
+                        batcher.predict(vec![0u8; 16], Trace::off()).unwrap();
                     }
                 });
             }
@@ -1435,11 +1379,11 @@ mod tests {
         std::thread::scope(|scope| {
             let good = scope.spawn({
                 let batcher = Arc::clone(&batcher);
-                move || batcher.predict(vec![224u8; 16])
+                move || batcher.predict(vec![224u8; 16], Trace::off())
             });
             let bad = scope.spawn({
                 let batcher = Arc::clone(&batcher);
-                move || batcher.predict(vec![224u8; 3]) // wrong shape
+                move || batcher.predict(vec![224u8; 3], Trace::off()) // wrong shape
             });
             assert!(good.join().unwrap().is_ok());
             let err = bad.join().unwrap().unwrap_err();
@@ -1461,14 +1405,14 @@ mod tests {
         let probe = vec![128u8; 16];
         let mut version = 0;
         for _ in 0..8 {
-            let outcome = batcher.train(vec![(probe.clone(), 0)]).unwrap();
+            let outcome = batcher.train(vec![(probe.clone(), 0)], Trace::off()).unwrap();
             assert_eq!(outcome.applied, 1);
             assert!(outcome.version > version, "version must be monotonic");
             version = outcome.version;
         }
         assert_eq!(shared.version(), version);
         assert_eq!(shared.trained_examples(), 8);
-        let prediction = batcher.predict(probe).unwrap();
+        let prediction = batcher.predict(probe, Trace::off()).unwrap();
         assert_eq!(prediction.class, 0, "training must move the decision boundary");
 
         // The oracle: the swapped-in model matches offline partial_fit.
@@ -1488,22 +1432,22 @@ mod tests {
         std::thread::scope(|scope| {
             let good = scope.spawn({
                 let batcher = Arc::clone(&batcher);
-                move || batcher.train(vec![(vec![224u8; 16], 1)])
+                move || batcher.train(vec![(vec![224u8; 16], 1)], Trace::off())
             });
             let bad_shape = scope.spawn({
                 let batcher = Arc::clone(&batcher);
-                move || batcher.train(vec![(vec![1u8; 3], 0)])
+                move || batcher.train(vec![(vec![1u8; 3], 0)], Trace::off())
             });
             let bad_label = scope.spawn({
                 let batcher = Arc::clone(&batcher);
-                move || batcher.train(vec![(vec![224u8; 16], 9)])
+                move || batcher.train(vec![(vec![224u8; 16], 9)], Trace::off())
             });
             assert_eq!(good.join().unwrap().unwrap().applied, 1);
             assert_eq!(bad_shape.join().unwrap().unwrap_err().status(), 400);
             assert_eq!(bad_label.join().unwrap().unwrap_err().status(), 400);
         });
         assert_eq!(shared.trained_examples(), 1, "only the good example is absorbed");
-        assert!(batcher.train(vec![]).is_err(), "empty train request rejected");
+        assert!(batcher.train(vec![], Trace::off()).is_err(), "empty train request rejected");
     }
 
     #[test]
@@ -1514,7 +1458,7 @@ mod tests {
             Batcher::start(Arc::clone(&shared), Arc::clone(&metrics), BatchConfig::default());
 
         // Correct label: no update, version unchanged.
-        let outcome = batcher.feedback(vec![224u8; 16], 1).unwrap();
+        let outcome = batcher.feedback(vec![224u8; 16], 1, Trace::off()).unwrap();
         assert!(!outcome.updated);
         assert_eq!(outcome.prediction.class, 1);
         assert_eq!(outcome.version, 0);
@@ -1523,7 +1467,7 @@ mod tests {
         // it, so an adaptive update applies and the version bumps.
         let mut updated = false;
         for _ in 0..8 {
-            let outcome = batcher.feedback(vec![224u8; 16], 0).unwrap();
+            let outcome = batcher.feedback(vec![224u8; 16], 0, Trace::off()).unwrap();
             if outcome.updated {
                 updated = true;
                 assert!(outcome.version > 0);
@@ -1531,7 +1475,7 @@ mod tests {
             }
         }
         assert!(updated, "mispredicting feedback must eventually update");
-        assert!(batcher.feedback(vec![0u8; 16], 9).unwrap_err().status() == 400);
+        assert!(batcher.feedback(vec![0u8; 16], 9, Trace::off()).unwrap_err().status() == 400);
     }
 
     #[test]
@@ -1551,9 +1495,9 @@ mod tests {
         let config = BatchConfig { max_queue: 0, ..BatchConfig::default() };
         let batcher = Batcher::start(Arc::clone(&shared), Arc::clone(&metrics), config);
 
-        let err = batcher.predict(vec![0u8; 16]).unwrap_err();
+        let err = batcher.predict(vec![0u8; 16], Trace::off()).unwrap_err();
         assert_eq!(err.status(), 503, "full queue must shed, got {err}");
-        let err = batcher.train(vec![(vec![0u8; 16], 0)]).unwrap_err();
+        let err = batcher.train(vec![(vec![0u8; 16], 0)], Trace::off()).unwrap_err();
         assert_eq!(err.status(), 503);
         assert_eq!(metrics.shed_total(), 2);
 
@@ -1575,7 +1519,7 @@ mod tests {
             ..BatchConfig::default()
         };
         let batcher = Batcher::start(shared, Arc::clone(&metrics), config);
-        let err = batcher.predict(vec![0u8; 16]).unwrap_err();
+        let err = batcher.predict(vec![0u8; 16], Trace::off()).unwrap_err();
         assert_eq!(err.status(), 504, "stale job must expire, got {err}");
         assert_eq!(metrics.deadline_expired_total(), 1);
     }
@@ -1594,12 +1538,12 @@ mod tests {
             Batcher::start(Arc::clone(&shared), Arc::clone(&metrics), BatchConfig::default());
 
         inject_panic_fill(Some(FILL));
-        let err = batcher.predict(vec![FILL; 16]).unwrap_err();
+        let err = batcher.predict(vec![FILL; 16], Trace::off()).unwrap_err();
         assert_eq!(err.status(), 500, "poisoned predict must 500, got {err}");
         assert!(matches!(err, ServeError::Panicked(_)));
-        let err = batcher.train(vec![(vec![FILL; 16], 0)]).unwrap_err();
+        let err = batcher.train(vec![(vec![FILL; 16], 0)], Trace::off()).unwrap_err();
         assert!(matches!(err, ServeError::Panicked(_)), "poisoned train must quarantine");
-        let err = batcher.feedback(vec![FILL; 16], 0).unwrap_err();
+        let err = batcher.feedback(vec![FILL; 16], 0, Trace::off()).unwrap_err();
         assert!(matches!(err, ServeError::Panicked(_)), "poisoned feedback must quarantine");
         assert_eq!(metrics.worker_panics_total(), 3, "each poisoned job counts exactly once");
 
@@ -1607,8 +1551,11 @@ mod tests {
         // hence the published lineage — continues monotonically.
         inject_panic_fill(None);
         let version_before = shared.version();
-        assert!(batcher.predict(vec![224u8; 16]).is_ok(), "worker must survive the panics");
-        let outcome = batcher.train(vec![(vec![224u8; 16], 1)]).unwrap();
+        assert!(
+            batcher.predict(vec![224u8; 16], Trace::off()).is_ok(),
+            "worker must survive the panics"
+        );
+        let outcome = batcher.train(vec![(vec![224u8; 16], 1)], Trace::off()).unwrap();
         assert!(outcome.version > version_before, "lineage stays monotonic after panics");
         assert_eq!(shared.version(), outcome.version);
     }
@@ -1629,11 +1576,11 @@ mod tests {
         std::thread::scope(|scope| {
             let good = scope.spawn({
                 let batcher = Arc::clone(&batcher);
-                move || batcher.predict(vec![224u8; 16])
+                move || batcher.predict(vec![224u8; 16], Trace::off())
             });
             let poisoned = scope.spawn({
                 let batcher = Arc::clone(&batcher);
-                move || batcher.predict(vec![FILL; 16])
+                move || batcher.predict(vec![FILL; 16], Trace::off())
             });
             assert!(good.join().unwrap().is_ok(), "healthy rider must not share the quarantine");
             let err = poisoned.join().unwrap().unwrap_err();
@@ -1664,7 +1611,10 @@ mod tests {
         // path: Debug formatting. It — and enqueue — must keep working.
         let rendered = format!("{batcher:?}");
         assert!(rendered.contains("pending="), "{rendered}");
-        assert!(batcher.predict(vec![0u8; 16]).is_ok(), "accept path survives poison");
+        assert!(
+            batcher.predict(vec![0u8; 16], Trace::off()).is_ok(),
+            "accept path survives poison"
+        );
     }
 
     #[test]
@@ -1675,10 +1625,10 @@ mod tests {
         // A shed job's trace ends at terminal "shed".
         let config = BatchConfig { max_queue: 0, ..BatchConfig::default() };
         let batcher = Batcher::start(Arc::clone(&shared), Arc::clone(&metrics), config);
-        let trace = ActiveTrace::new("shed-1".into());
-        let err = batcher.predict_traced(vec![0u8; 16], Some(Arc::clone(&trace))).unwrap_err();
+        let trace = Trace::new("shed-1", true);
+        let err = batcher.predict(vec![0u8; 16], trace.clone()).unwrap_err();
         assert_eq!(err.status(), 503);
-        assert_eq!(trace.finalize(503, 1).terminal, "shed");
+        assert_eq!(trace.finalize(503, 1).unwrap().terminal, "shed");
         drop(batcher);
 
         // A deadline-expired job's trace ends at terminal "queue_deadline".
@@ -1688,17 +1638,16 @@ mod tests {
             ..BatchConfig::default()
         };
         let batcher = Batcher::start(Arc::clone(&shared), Arc::clone(&metrics), config);
-        let trace = ActiveTrace::new("late-1".into());
-        let err = batcher.predict_traced(vec![0u8; 16], Some(Arc::clone(&trace))).unwrap_err();
+        let trace = Trace::new("late-1", true);
+        let err = batcher.predict(vec![0u8; 16], trace.clone()).unwrap_err();
         assert_eq!(err.status(), 504);
-        assert_eq!(trace.finalize(504, 1).terminal, "queue_deadline");
+        assert_eq!(trace.finalize(504, 1).unwrap().terminal, "queue_deadline");
         drop(batcher);
 
         // A traced train stamps its id onto the streamed delta record,
         // so the write can be followed to any follower that applies it.
         let batcher = Batcher::start(Arc::clone(&shared), metrics, BatchConfig::default());
-        let trace = ActiveTrace::new("train-1".into());
-        batcher.train_traced(vec![(vec![224u8; 16], 1)], Some(trace)).unwrap();
+        batcher.train(vec![(vec![224u8; 16], 1)], Trace::new("train-1", true)).unwrap();
         let deltas = shared.deltas().collect_after(0, Duration::ZERO).unwrap();
         assert_eq!(deltas.last().unwrap().trace.as_deref(), Some("train-1"));
     }
@@ -1708,8 +1657,8 @@ mod tests {
         let shared = model();
         let metrics = Arc::new(Metrics::new());
         let batcher = Batcher::start(shared, Arc::clone(&metrics), BatchConfig::default());
-        batcher.predict(vec![0u8; 16]).unwrap();
-        batcher.predict(vec![0u8; 16]).unwrap();
+        batcher.predict(vec![0u8; 16], Trace::off()).unwrap();
+        batcher.predict(vec![0u8; 16], Trace::off()).unwrap();
         let total: u64 = metrics.queue_depth_hist().iter().sum();
         assert_eq!(total, 2, "every accepted enqueue lands in the depth histogram");
     }

@@ -56,7 +56,10 @@
 //!   overload accounting (`shed_total`, `deadline_expired_total`,
 //!   `worker_panics_total`, a queue-depth histogram). `/metrics` renders
 //!   JSON by default and Prometheus text exposition with
-//!   `?format=prometheus`.
+//!   `?format=prometheus`. Both views render one table of metric rows,
+//!   each model's version and a follower's replication lag among them,
+//!   so they carry the same metrics; only derived means and quantiles
+//!   are JSON-only.
 //! * [`trace`] — per-request **distributed tracing**: every request gets
 //!   an id (client-supplied `X-Request-Id` or generated), echoed on every
 //!   response, with per-stage spans (head parse → body read → queue wait
@@ -64,8 +67,10 @@
 //!   recorded into a
 //!   fixed-size ring of completed traces (`GET /debug/traces`,
 //!   `GET /debug/traces/slow`) and per-stage/per-model latency
-//!   histograms. Delta records carry the originating trace id so a write
-//!   can be followed leader→follower.
+//!   histograms. A request carries one [`Trace`] value from the socket
+//!   through the batcher; with tracing off it is empty and every call on
+//!   it does nothing. Delta records carry the originating trace id so a
+//!   write can be followed leader→follower.
 //! * [`log`] — a leveled (`--log-level`), rate-limited structured logger:
 //!   `key=value` lines on stderr with per-site token-bucket suppression
 //!   (`suppressed=N` tallies instead of silent gaps).
@@ -121,8 +126,8 @@
 //!     -d "{\"input\":[ ... pixels ... ],\"label\":3}"   # adaptive update on mistakes
 //! curl -X POST http://127.0.0.1:8080/v1/snapshot \
 //!     -d '{"model":"default","path":"snap.hdc"}'  # persist counters atomically
-//! curl http://127.0.0.1:8080/metrics        # batch/training stats, p50/p99
-//! curl http://127.0.0.1:8080/metrics?format=prometheus   # text exposition
+//! curl http://127.0.0.1:8080/metrics        # batch/training/stage stats, p50/p99, versions
+//! curl http://127.0.0.1:8080/metrics?format=prometheus   # the same metrics as text
 //! curl http://127.0.0.1:8080/debug/traces   # recent per-request stage traces
 //! curl -X POST http://127.0.0.1:8080/v1/reload \
 //!     -d '{"model":"default","path":"snap.hdc"}'   # hot reload, resumes training
@@ -185,5 +190,5 @@ pub use metrics::Metrics;
 pub use registry::{ModelEntry, ModelInfo, Registry, SharedModel};
 pub use replica::{Replica, ReplicaState};
 pub use server::{Server, ServerConfig};
-pub use trace::{ActiveTrace, TraceRecord, TraceRing};
+pub use trace::{Trace, TraceRecord, TraceRing};
 pub use wal::{DeltaOp, DeltaRecord, Wal};

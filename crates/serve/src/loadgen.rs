@@ -22,8 +22,7 @@
 //! side's only window. Both sides of a row stay up on their own
 //! long-lived server for all of its pairs (a registry has one batch
 //! config, so the batch-size-1 and coalescing sides cannot share one); the
-//! tracing row toggles tracing on a single server. Only `serve_wal_append`,
-//! whose fsyncs put it far above its floor, keeps one window per side.
+//! tracing row toggles tracing on a single server.
 
 use crate::batcher::BatchConfig;
 use crate::client::Client;
@@ -229,8 +228,8 @@ impl LoadgenReport {
              median of {PAIRS} window pairs, {} examples absorbed in {} published batches\"}},\n    \
              \"serve_wal_append\": {{\"scalar_ns\": {:.1}, \"packed_ns\": {:.1}, \"speedup\": \
              {:.2}, \"note\": \"file-backed /v1/train with an fsynced WAL append per published \
-             batch, {} clients, single={:.0} rps vs coalesced={:.0} rps, {} examples absorbed \
-             in {} fsynced appends\"}},\n    \
+             batch, {} clients, single={:.0} rps vs coalesced={:.0} rps, median of {PAIRS} \
+             window pairs, {} examples absorbed in {} fsynced appends\"}},\n    \
              \"serve_trace_overhead\": {{\"scalar_ns\": {:.1}, \"packed_ns\": {:.1}, \
              \"speedup\": {:.3}, \"note\": \"predict throughput with tracing on vs off, {} \
              clients, median of {PAIRS} alternating window pairs on one server, \
@@ -268,7 +267,7 @@ impl LoadgenReport {
             self.config.clients,
             self.single_wal_train_rps,
             self.coalesced_wal_train_rps,
-            self.config.clients * self.config.train_requests_per_client(),
+            self.train_requests,
             self.wal_appends,
             1e9 / self.untraced_rps,
             1e9 / self.traced_rps,
@@ -348,20 +347,27 @@ pub(crate) fn bar_image(img: &mut [u8], edge: usize, row: usize) -> usize {
     ((row % edge) * classes / edge).min(classes - 1)
 }
 
-/// Starts a loadgen server (tracing on, the default) over `model` with
-/// `batch`.
+/// Starts a loadgen server (tracing on, the default) with `batch`, whose
+/// `default` model `install` puts in place.
 fn start_side(
     config: &LoadgenConfig,
     batch: BatchConfig,
-    model: impl Into<hdc::AnyModel>,
+    install: impl FnOnce(&Registry),
 ) -> (Arc<Metrics>, Arc<Registry>, Server) {
     let metrics = Arc::new(Metrics::new());
     let registry = Arc::new(Registry::new(Arc::clone(&metrics), batch));
-    registry.insert_model("default", model).expect("register loadgen model");
+    install(&registry);
     let server_config = ServerConfig { workers: config.clients + 2, ..ServerConfig::default() };
     let server =
         Server::start(Arc::clone(&registry), &server_config).expect("start loadgen server");
     (metrics, registry, server)
+}
+
+/// Installs `model` in memory.
+fn in_memory(model: impl Into<hdc::AnyModel>) -> impl FnOnce(&Registry) {
+    move |registry| {
+        registry.insert_model("default", model).expect("register loadgen model");
+    }
 }
 
 /// One closed-loop predict window: `per_client` single-input predicts
@@ -488,7 +494,7 @@ struct DenseSides {
 }
 
 fn run_dense_sides(config: &LoadgenConfig) -> DenseSides {
-    let model = || synthetic_model(config.dim, config.edge);
+    let model = || in_memory(synthetic_model(config.dim, config.edge));
     let (single_metrics, _, mut single) = start_side(config, BatchConfig::batch_size_1(), model());
     let (metrics, registry, mut coalesced) = start_side(config, config.coalesce, model());
     let per_client = config.requests_per_client;
@@ -520,7 +526,7 @@ fn run_dense_sides(config: &LoadgenConfig) -> DenseSides {
 
 /// The binarized twin's coalesced/batch-size-1 predict window pairs.
 fn run_binary_sides(config: &LoadgenConfig) -> (f64, f64) {
-    let model = || synthetic_binary_model(config.dim, config.edge);
+    let model = || in_memory(synthetic_binary_model(config.dim, config.edge));
     let (_, _, mut single) = start_side(config, BatchConfig::batch_size_1(), model());
     let (_, _, mut coalesced) = start_side(config, config.coalesce, model());
     let per_client = config.binary_requests_per_client();
@@ -538,7 +544,7 @@ fn run_binary_sides(config: &LoadgenConfig) -> (f64, f64) {
 /// untraced requests/second of the pair with the median traced/untraced
 /// ratio.
 fn run_trace_pairs(config: &LoadgenConfig, per_client: usize) -> (f64, f64) {
-    let model = synthetic_model(config.dim, config.edge);
+    let model = in_memory(synthetic_model(config.dim, config.edge));
     let (metrics, _registry, mut server) = start_side(config, config.coalesce, model);
     let window = |traced: bool| {
         metrics.set_trace_enabled(traced);
@@ -549,53 +555,38 @@ fn run_trace_pairs(config: &LoadgenConfig, per_client: usize) -> (f64, f64) {
     rates
 }
 
-/// Runs one **WAL-attached** train side: the model is served *from a
-/// file* via [`Registry::load`], so every published batch pays an fsynced
-/// append to the sidecar `.wal` before it is acked (the durable
-/// online-learning path). With batch-size-1 that is one fsync per
+/// The **WAL-attached** train sides: each side's server loads its model
+/// from its own file (the `.wal` sidecar is keyed to the file path), so
+/// every published batch pays an fsynced append before it is acked (the
+/// durable online-learning path). With batch-size-1 that is one fsync per
 /// example; coalescing amortizes the same durability over the whole
-/// batch — the ratio is the `serve_wal_append` bench row. Returns train
-/// requests/second and the number of fsynced appends.
-fn run_wal_side(
-    config: &LoadgenConfig,
-    batch: BatchConfig,
-    model_path: &std::path::Path,
-    per_client: usize,
-) -> (f64, u64) {
-    let metrics = Arc::new(Metrics::new());
-    let registry = Arc::new(Registry::new(Arc::clone(&metrics), batch));
-    registry.load("default", model_path).expect("load WAL-side loadgen model");
-    let server_config = ServerConfig { workers: config.clients + 2, ..ServerConfig::default() };
-    let mut server =
-        Server::start(Arc::clone(&registry), &server_config).expect("start WAL loadgen server");
-    let addr = server.addr();
-
-    let edge = config.edge;
-    let started = Instant::now();
-    std::thread::scope(|scope| {
-        for client_id in 0..config.clients {
-            scope.spawn(move || {
-                let mut client = Client::connect(addr).expect("connect WAL train client");
-                let mut img = vec![0u8; edge * edge];
-                for i in 0..per_client {
-                    let label = bar_image(&mut img, edge, client_id + i);
-                    let body = Client::train_body("default", &img, label);
-                    let response = client.post("/v1/train", &body).expect("WAL train request");
-                    assert!(
-                        response.is_success(),
-                        "WAL train failed: {} {}",
-                        response.status,
-                        String::from_utf8_lossy(&response.body)
-                    );
-                }
-            });
-        }
-    });
-    let elapsed = started.elapsed().as_secs_f64();
-    server.shutdown();
+/// batch. The coalesced/batch-size-1 train window pair with the median
+/// ratio is the `serve_wal_append` bench row; also returns the coalesced
+/// side's fsynced appends.
+fn run_wal_sides(config: &LoadgenConfig) -> ((f64, f64), u64) {
+    let dir = wal_scratch_dir();
+    let model: hdc::AnyModel = synthetic_model(config.dim, config.edge).into();
+    let side = |name: &str, batch| {
+        let path = dir.join(name);
+        let file = std::fs::File::create(&path).expect("create WAL-side model file");
+        model.save(std::io::BufWriter::new(file)).expect("save WAL-side model");
+        start_side(config, batch, |registry| {
+            registry.load("default", &path).expect("load WAL-side loadgen model");
+        })
+    };
+    let (_, _, mut single) = side("single.hdc", BatchConfig::batch_size_1());
+    let (metrics, _, mut coalesced) = side("coalesced.hdc", config.coalesce);
+    let per_client = config.train_requests_per_client();
+    let rates = median_pair(
+        || train_window(config, coalesced.addr(), per_client),
+        || train_window(config, single.addr(), per_client),
+    );
+    single.shutdown();
+    coalesced.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
     let appends = metrics.wal_appends_total();
     assert!(appends > 0, "the WAL side must have fsynced at least one append");
-    ((config.clients * per_client) as f64 / elapsed, appends)
+    (rates, appends)
 }
 
 /// Inputs per explicit-batch request in the scaling sweep: large enough
@@ -657,7 +648,7 @@ fn run_scale_rounds(config: &LoadgenConfig) -> Vec<ScalePoint> {
         .iter()
         .map(|&workers| {
             let batch = BatchConfig { predict_workers: workers, ..config.coalesce };
-            start_side(config, batch, synthetic_model(config.dim, config.edge)).2
+            start_side(config, batch, in_memory(synthetic_model(config.dim, config.edge))).2
         })
         .collect();
     let per_client = config.scale_requests_per_client();
@@ -728,24 +719,7 @@ pub fn run(config: &LoadgenConfig) -> LoadgenReport {
 
     // WAL sides: the same closed-loop train traffic, but file-backed so
     // every acked batch is durable (fsynced append) before it publishes.
-    // Each side gets its own model file — the `.wal` sidecar is keyed to
-    // the file path.
-    let wal_dir = wal_scratch_dir();
-    let wal_per_client = config.train_requests_per_client();
-    let wal_model: hdc::AnyModel = synthetic_model(config.dim, config.edge).into();
-    for name in ["single.hdc", "coalesced.hdc"] {
-        let file = std::fs::File::create(wal_dir.join(name)).expect("create WAL-side model file");
-        wal_model.save(std::io::BufWriter::new(file)).expect("save WAL-side model");
-    }
-    let (single_wal_train_rps, _) = run_wal_side(
-        config,
-        BatchConfig::batch_size_1(),
-        &wal_dir.join("single.hdc"),
-        wal_per_client,
-    );
-    let (coalesced_wal_train_rps, wal_appends) =
-        run_wal_side(config, config.coalesce, &wal_dir.join("coalesced.hdc"), wal_per_client);
-    let _ = std::fs::remove_dir_all(&wal_dir);
+    let ((coalesced_wal_train_rps, single_wal_train_rps), wal_appends) = run_wal_sides(config);
 
     // The predict-pool scaling sweep: ratios against the 1-worker server
     // are the `serve_scale_w*` bench rows.

@@ -1,12 +1,24 @@
-//! Live server metrics: lock-free counters and fixed-bucket histograms.
+//! Live server metrics: lock-free counters and fixed-bucket histograms,
+//! and the two views of `GET /metrics`.
 //!
 //! Everything is `AtomicU64` with relaxed ordering — the counters are
 //! statistical, not synchronization points — so the hot path pays a few
 //! uncontended atomic adds per request. Quantiles (p50/p99) come from
 //! fixed power-of-two latency buckets: no allocation, no locks, bounded
 //! error of at most one bucket width, which is plenty for a load report.
+//!
+//! Both views render one table of rows, `ROWS`. A row says once where its
+//! metric sits in the JSON document, its Prometheus family, kind, labels
+//! and help text, and how to read it: from [`Metrics`], or from the
+//! registry's models and replication state that a [`Scrape`] carries.
+//! Histogram rows name their bucket layout, which labels the buckets in
+//! both views. The two emitters name no metric, so a metric added as a
+//! row shows in both; only rows marked derived (means and quantiles) are
+//! JSON-only. A unit test checks that every other row appears in both
+//! views with equal values.
 
 use crate::json::Json;
+use crate::replica::{ReplicaState, SyncStatus};
 use crate::trace::{TraceRecord, TraceRing, STAGE_COUNT, STAGE_NAMES};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering::Relaxed};
@@ -65,12 +77,11 @@ const SLOW_RING_CAPACITY: usize = 64;
 
 /// Per-stage, per-model latency histograms fed by completed traces: the
 /// same power-of-two buckets as the end-to-end histogram, one row per
-/// [`Stage`](crate::trace::Stage), plus sum/count for means.
+/// [`Stage`](crate::trace::Stage), plus each row's sum for means.
 #[derive(Debug)]
 pub struct StageHist {
     buckets: [[AtomicU64; LATENCY_BUCKETS]; STAGE_COUNT],
     sum_us: [AtomicU64; STAGE_COUNT],
-    count: [AtomicU64; STAGE_COUNT],
 }
 
 impl StageHist {
@@ -78,7 +89,6 @@ impl StageHist {
         Self {
             buckets: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             sum_us: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -86,13 +96,12 @@ impl StageHist {
     fn observe(&self, stage: usize, us: u64) {
         self.buckets[stage][latency_bucket_index(us)].fetch_add(1, Relaxed);
         self.sum_us[stage].fetch_add(us, Relaxed);
-        self.count[stage].fetch_add(1, Relaxed);
     }
 
-    /// Samples recorded for `stage` (index into
-    /// [`STAGE_NAMES`]).
+    /// Samples recorded for `stage` (index into [`STAGE_NAMES`]): the
+    /// total over its buckets.
     pub fn stage_count(&self, stage: usize) -> u64 {
-        self.count[stage].load(Relaxed)
+        self.buckets[stage].iter().map(|c| c.load(Relaxed)).sum()
     }
 
     /// Sum of recorded durations (µs) for `stage`.
@@ -449,13 +458,10 @@ impl Metrics {
     /// record qualified as slow so the caller can emit the log line.
     pub fn on_trace(&self, record: &TraceRecord) -> bool {
         let hist = self.stage_hist_for(&record.model);
-        for (stage, &us) in record.stages.iter().enumerate() {
-            // Stages the request never entered stay zero and are not
-            // counted — a predict must not smear the write-only stages'
-            // distributions with zeros.
-            if us > 0 {
-                hist.observe(stage, us);
-            }
+        // Only the stages the request entered count (a sub-µs one at 0):
+        // a predict must not smear the write-only stages with zeros.
+        for (stage, us) in record.entered_stages() {
+            hist.observe(stage, us);
         }
         self.traces.push(record.clone());
         let threshold = self.slow_request_us.load(Relaxed);
@@ -571,11 +577,7 @@ impl Metrics {
     /// training-side coalescing proof, analogous to
     /// [`mean_batch_size`](Self::mean_batch_size).
     pub fn mean_train_batch_size(&self) -> f64 {
-        let count = self.train_batches.load(Relaxed);
-        if count == 0 {
-            return 0.0;
-        }
-        self.train_batch_examples.load(Relaxed) as f64 / count as f64
+        mean(&self.train_batch_examples, &self.train_batches)
     }
 
     /// Executed batches and the inputs they held, so far: a window's mean
@@ -586,11 +588,7 @@ impl Metrics {
 
     /// Mean executed batch size (0 when nothing ran yet).
     pub fn mean_batch_size(&self) -> f64 {
-        let count = self.batch_count.load(Relaxed);
-        if count == 0 {
-            return 0.0;
-        }
-        self.batch_inputs.load(Relaxed) as f64 / count as f64
+        mean(&self.batch_inputs, &self.batch_count)
     }
 
     /// The `q`-quantile latency in microseconds, as the upper bound of the
@@ -616,482 +614,494 @@ impl Metrics {
         self.requests_total.load(Relaxed)
     }
 
-    /// Renders the full snapshot as the `/metrics` JSON document.
-    pub fn render(&self) -> Json {
-        let batch_hist: Vec<Json> = self
-            .batch_hist
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.load(Relaxed) > 0)
-            .map(|(i, c)| {
-                let label = if i == BATCH_BUCKETS - 1 {
-                    format!("{}+", i + 1)
-                } else {
-                    (i + 1).to_string()
-                };
-                Json::obj([("size", Json::from(label)), ("count", Json::from(c.load(Relaxed)))])
-            })
-            .collect();
-        let latency_hist: Vec<Json> = self
-            .latency_hist
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.load(Relaxed) > 0)
-            .map(|(i, c)| {
-                Json::obj([
-                    ("le_us", Json::from(1u64 << (i + 1))),
-                    ("count", Json::from(c.load(Relaxed))),
-                ])
-            })
-            .collect();
-        let latency_count = self.latency_count.load(Relaxed);
-        let mean_latency = if latency_count == 0 {
-            0.0
-        } else {
-            self.latency_sum_us.load(Relaxed) as f64 / latency_count as f64
-        };
-        let queue_depth_hist: Vec<Json> = self
-            .queue_depth_hist
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| c.load(Relaxed) > 0)
-            .map(|(i, c)| {
-                Json::obj([
-                    ("lt_depth", Json::from(1u64 << i)),
-                    ("count", Json::from(c.load(Relaxed))),
-                ])
-            })
-            .collect();
-        let size_hist = |hist: &[AtomicU64]| -> Vec<Json> {
-            hist.iter()
-                .enumerate()
-                .filter(|(_, c)| c.load(Relaxed) > 0)
-                .map(|(i, c)| {
-                    let label = if i == hist.len() - 1 {
-                        format!("{}+", i + 1)
-                    } else {
-                        (i + 1).to_string()
-                    };
-                    Json::obj([("size", Json::from(label)), ("count", Json::from(c.load(Relaxed)))])
-                })
-                .collect()
-        };
-        let pool_workers = Json::Obj(
-            self.predict_workers()
-                .into_iter()
-                .map(|(model, workers)| (model, Json::from(workers)))
-                .collect(),
-        );
-        Json::obj([
-            ("requests_total", Json::from(self.requests_total.load(Relaxed))),
-            (
-                "responses",
-                Json::obj([
-                    ("2xx", Json::from(self.responses_2xx.load(Relaxed))),
-                    ("4xx", Json::from(self.responses_4xx.load(Relaxed))),
-                    ("5xx", Json::from(self.responses_5xx.load(Relaxed))),
-                ]),
-            ),
-            (
-                "predict",
-                Json::obj([
-                    ("requests", Json::from(self.predict_requests.load(Relaxed))),
-                    ("inputs", Json::from(self.predict_inputs.load(Relaxed))),
-                ]),
-            ),
-            (
-                "batches",
-                Json::obj([
-                    ("count", Json::from(self.batch_count.load(Relaxed))),
-                    ("inputs", Json::from(self.batch_inputs.load(Relaxed))),
-                    ("mean_size", Json::from(self.mean_batch_size())),
-                    ("max_size", Json::from(self.batch_max.load(Relaxed))),
-                    ("hist", Json::Arr(batch_hist)),
-                ]),
-            ),
-            (
-                "predict_pool",
-                Json::obj([
-                    ("workers", pool_workers),
-                    ("fanouts", Json::from(self.pool_fanouts_total.load(Relaxed))),
-                    ("occupancy_hist", Json::Arr(size_hist(&self.pool_occupancy_hist))),
-                    ("shard_size_hist", Json::Arr(size_hist(&self.pool_shard_hist))),
-                ]),
-            ),
-            (
-                "training",
-                Json::obj([
-                    ("requests", Json::from(self.train_requests.load(Relaxed))),
-                    ("examples", Json::from(self.train_examples.load(Relaxed))),
-                    ("batches", Json::from(self.train_batches.load(Relaxed))),
-                    ("batch_examples", Json::from(self.train_batch_examples.load(Relaxed))),
-                    ("mean_batch_size", Json::from(self.mean_train_batch_size())),
-                    (
-                        "feedback",
-                        Json::obj([
-                            ("requests", Json::from(self.feedback_requests.load(Relaxed))),
-                            ("applied", Json::from(self.feedback_applied.load(Relaxed))),
-                        ]),
-                    ),
-                ]),
-            ),
-            (
-                "overload",
-                Json::obj([
-                    ("shed_total", Json::from(self.shed_total.load(Relaxed))),
-                    (
-                        "deadline_expired_total",
-                        Json::from(self.deadline_expired_total.load(Relaxed)),
-                    ),
-                    ("worker_panics_total", Json::from(self.worker_panics_total.load(Relaxed))),
-                    ("worker_respawns_total", Json::from(self.worker_respawns_total.load(Relaxed))),
-                    ("handler_panics_total", Json::from(self.handler_panics_total.load(Relaxed))),
-                    ("queue_depth_hist", Json::Arr(queue_depth_hist)),
-                ]),
-            ),
-            (
-                "durability",
-                Json::obj([
-                    ("wal_appends_total", Json::from(self.wal_appends_total.load(Relaxed))),
-                    (
-                        "wal_append_errors_total",
-                        Json::from(self.wal_append_errors_total.load(Relaxed)),
-                    ),
-                    ("wal_records_replayed", Json::from(self.wal_records_replayed.load(Relaxed))),
-                ]),
-            ),
-            (
-                "replication",
-                Json::obj([
-                    (
-                        "records_applied_total",
-                        Json::from(self.replica_records_applied_total.load(Relaxed)),
-                    ),
-                    ("resets_total", Json::from(self.replica_resets_total.load(Relaxed))),
-                    ("poll_errors_total", Json::from(self.replica_poll_errors_total.load(Relaxed))),
-                ]),
-            ),
-            (
-                "latency_us",
-                Json::obj([
-                    ("count", Json::from(latency_count)),
-                    ("mean", Json::from(mean_latency)),
-                    ("p50", Json::from(self.latency_quantile_us(0.50))),
-                    ("p99", Json::from(self.latency_quantile_us(0.99))),
-                    ("hist", Json::Arr(latency_hist)),
-                ]),
-            ),
-            (
-                "process",
-                Json::obj([
-                    ("start_time_unix", Json::from(self.start_epoch_secs)),
-                    ("uptime_secs", Json::from(self.uptime_secs())),
-                    ("version", Json::from(env!("CARGO_PKG_VERSION"))),
-                    ("rss_kb", rss_current_kb().map_or(Json::Null, Json::from)),
-                    ("kernel_backend", Json::from(hdc::kernel::backend::active().name())),
-                    ("cpu_features", Json::from(hdc::kernel::backend::cpu_features())),
-                ]),
-            ),
-        ])
+    /// The `/metrics` views of this sink alone, without registry rows.
+    pub fn scrape(&self) -> Scrape<'_> {
+        Scrape { metrics: self, models: Vec::new(), replica: None }
+    }
+}
+
+/// What one `/metrics` scrape reads: the shared [`Metrics`] plus the
+/// rows the model registry holds. [`json`](Self::json) and
+/// [`prometheus`](Self::prometheus) render the same table of rows.
+pub struct Scrape<'a> {
+    /// The process-wide counters, histograms and trace rings.
+    pub metrics: &'a Metrics,
+    /// `(name, version, generation)` of each served model.
+    pub models: Vec<(String, u64, u64)>,
+    /// A follower's replication state; `None` on a leader.
+    pub replica: Option<Arc<ReplicaState>>,
+}
+
+impl Scrape<'_> {
+    /// The canonical JSON document.
+    pub fn json(&self) -> Json {
+        emit_json(&self.read())
     }
 
-    /// Renders the snapshot in the Prometheus text exposition format
-    /// (version 0.0.4). The JSON surface from [`render`](Self::render)
-    /// stays canonical; this is a parallel view over the same atomics.
-    ///
-    /// Naming: everything is prefixed `hdc_`, counters end in `_total`,
-    /// histograms follow the `_bucket{le=…}` / `_sum` / `_count`
-    /// convention with **cumulative** bucket counts. Power-of-two bucket
-    /// `i` of the internal histograms holds `us < 2^(i+1)`; since samples
-    /// are integral µs that is exactly `le = 2^(i+1) - 1`.
-    pub fn render_prometheus(&self) -> String {
-        fn counter(out: &mut String, name: &str, help: &str, value: u64) {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}\n"));
-        }
-        let mut out = String::with_capacity(8 * 1024);
-        counter(
-            &mut out,
-            "hdc_requests_total",
-            "Requests accepted off the wire.",
-            self.requests_total.load(Relaxed),
-        );
-        let classes = [
-            ("2xx", self.responses_2xx.load(Relaxed)),
-            ("4xx", self.responses_4xx.load(Relaxed)),
-            ("5xx", self.responses_5xx.load(Relaxed)),
-        ];
-        out.push_str("# HELP hdc_responses_total Responses by status class.\n");
-        out.push_str("# TYPE hdc_responses_total counter\n");
-        for (class, value) in classes {
-            out.push_str(&format!("hdc_responses_total{{class=\"{class}\"}} {value}\n"));
-        }
-        counter(
-            &mut out,
-            "hdc_predict_requests_total",
-            "Predict requests.",
-            self.predict_requests.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_predict_inputs_total",
-            "Individual inputs carried by predict requests.",
-            self.predict_inputs.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_train_requests_total",
-            "Train requests.",
-            self.train_requests.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_train_examples_total",
-            "Examples absorbed through /v1/train.",
-            self.train_examples.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_train_batches_total",
-            "Coalesced update batches published (one version bump each).",
-            self.train_batches.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_feedback_requests_total",
-            "Feedback requests.",
-            self.feedback_requests.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_feedback_applied_total",
-            "Feedback requests that applied an adaptive update.",
-            self.feedback_applied.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_shed_total",
-            "Requests shed because a job queue was full (503).",
-            self.shed_total.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_deadline_expired_total",
-            "Queued jobs whose wait deadline expired (504).",
-            self.deadline_expired_total.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_worker_panics_total",
-            "Jobs quarantined by a model panic (500).",
-            self.worker_panics_total.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_worker_respawns_total",
-            "Batcher workers restarted after an escaped panic.",
-            self.worker_respawns_total.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_handler_panics_total",
-            "Requests whose handler panicked (500); the accept thread kept serving.",
-            self.handler_panics_total.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_wal_appends_total",
-            "Delta records fsynced to write-ahead logs.",
-            self.wal_appends_total.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_wal_append_errors_total",
-            "Update batches refused because the WAL append failed.",
-            self.wal_append_errors_total.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_wal_records_replayed_total",
-            "Records replayed from WAL tails during crash recovery.",
-            self.wal_records_replayed.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_replica_records_applied_total",
-            "Delta records applied from the leader.",
-            self.replica_records_applied_total.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_replica_resets_total",
-            "Full follower re-bootstraps (snapshot transfer).",
-            self.replica_resets_total.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_replica_poll_errors_total",
-            "Failed polls against the leader.",
-            self.replica_poll_errors_total.load(Relaxed),
-        );
-        counter(
-            &mut out,
-            "hdc_traces_recorded_total",
-            "Completed traces pushed into the debug ring.",
-            self.traces.pushed(),
-        );
-        counter(
-            &mut out,
-            "hdc_traces_slow_total",
-            "Traces that met the slow-request threshold.",
-            self.slow_traces.pushed(),
-        );
+    /// The Prometheus text exposition (version 0.0.4).
+    pub fn prometheus(&self) -> String {
+        emit_prometheus(&self.read())
+    }
 
-        // End-to-end request latency: a real Prometheus histogram (we have
-        // sum + count), cumulative buckets.
-        out.push_str("# HELP hdc_request_latency_us End-to-end request latency.\n");
-        out.push_str("# TYPE hdc_request_latency_us histogram\n");
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.latency_hist.iter().enumerate() {
-            cumulative += bucket.load(Relaxed);
-            out.push_str(&format!(
-                "hdc_request_latency_us_bucket{{le=\"{}\"}} {cumulative}\n",
-                latency_bucket_bound_us(i) - 1
-            ));
-        }
-        out.push_str(&format!("hdc_request_latency_us_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-        out.push_str(&format!(
-            "hdc_request_latency_us_sum {}\n",
-            self.latency_sum_us.load(Relaxed)
-        ));
-        out.push_str(&format!(
-            "hdc_request_latency_us_count {}\n",
-            self.latency_count.load(Relaxed)
-        ));
+    /// Reads every row that applies to this process, once.
+    fn read(&self) -> Vec<(&'static Row, Vec<Series>)> {
+        ROWS.iter().filter_map(|row| Some((row, (row.read)(self)?))).collect()
+    }
+}
 
-        // Coalesced batch sizes: histogram over exact sizes 1..=64, +Inf.
-        out.push_str("# HELP hdc_batch_size Coalesced batch sizes executed.\n");
-        out.push_str("# TYPE hdc_batch_size histogram\n");
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.batch_hist.iter().enumerate().take(BATCH_BUCKETS - 1) {
-            cumulative += bucket.load(Relaxed);
-            out.push_str(&format!("hdc_batch_size_bucket{{le=\"{}\"}} {cumulative}\n", i + 1));
-        }
-        cumulative += self.batch_hist[BATCH_BUCKETS - 1].load(Relaxed);
-        out.push_str(&format!("hdc_batch_size_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-        out.push_str(&format!("hdc_batch_size_sum {}\n", self.batch_inputs.load(Relaxed)));
-        out.push_str(&format!("hdc_batch_size_count {}\n", self.batch_count.load(Relaxed)));
+/// How a row is exposed: its Prometheus `# TYPE`, or JSON only.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Kind {
+    Counter,
+    Gauge,
+    /// A string, exposed in Prometheus as the value of the row's last
+    /// label on a constant 1.
+    Info,
+    /// Bucketed observations. With a sum, JSON holds `{count, <sum key>,
+    /// hist}` at the row's path and Prometheus adds `_sum`; without one,
+    /// JSON holds the bare bucket array.
+    Histogram(Buckets, Option<&'static str>),
+    /// Computed from other rows (means, quantiles): JSON only.
+    Derived,
+}
 
-        // Queue depth at enqueue: labeled counter (no meaningful sum).
-        out.push_str(
-            "# HELP hdc_queue_depth_observations_total Enqueues by observed queue depth.\n",
-        );
-        out.push_str("# TYPE hdc_queue_depth_observations_total counter\n");
-        for (i, bucket) in self.queue_depth_hist.iter().enumerate() {
-            let value = bucket.load(Relaxed);
-            if value > 0 {
-                out.push_str(&format!(
-                    "hdc_queue_depth_observations_total{{lt=\"{}\"}} {value}\n",
-                    1u64 << i
-                ));
+/// A histogram's bucket layout, from which both views label its buckets.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Buckets {
+    /// Power-of-two µs (see [`latency_bucket_index`]). JSON `le_us` is
+    /// the exclusive bound 2^(i+1); Prometheus `le` is 2^(i+1) - 1, the
+    /// same edge for integral µs.
+    Micros,
+    /// Exact sizes: bucket `i` holds `i + 1`, the last everything larger.
+    /// JSON labels the last `"N+"`; Prometheus folds it into `+Inf`.
+    Sizes,
+    /// Power-of-two queue depths: bucket `i` holds depths `< 2^i`. With
+    /// no meaningful sum, Prometheus gets a counter per non-empty bucket,
+    /// labelled `lt`.
+    Depths,
+}
+
+/// One metric, described once: where it sits in each view and how to
+/// read it. A new metric is one more row in [`ROWS`].
+struct Row {
+    /// Dotted JSON path: a `*` segment takes the next label value as its
+    /// key; a segment ending in `[]` is an array of objects, one per label
+    /// value, named by their `"name"` field.
+    json: &'static str,
+    /// Prometheus family name (unused by derived rows).
+    prom: &'static str,
+    kind: Kind,
+    /// Prometheus label names, outermost first.
+    labels: &'static [&'static str],
+    help: &'static str,
+    /// The row's series, `None` where it does not apply (a leader has
+    /// no follower rows).
+    read: fn(&Scrape<'_>) -> Option<Vec<Series>>,
+}
+
+/// One reading of a row: a value for each of its labels, and a sample.
+struct Series {
+    labels: Vec<String>,
+    sample: Sample,
+}
+
+enum Sample {
+    Num(u64),
+    Real(f64),
+    Text(String),
+    Flag(bool),
+    /// Bucket counts and the sum of the observations.
+    Hist(Vec<u64>, u64),
+    /// Not measurable here: JSON `null`, no Prometheus sample.
+    Unknown,
+}
+
+/// `sum / count`, 0 while `count` is 0.
+fn mean(sum: &AtomicU64, count: &AtomicU64) -> f64 {
+    let count = count.load(Relaxed);
+    if count == 0 {
+        return 0.0;
+    }
+    sum.load(Relaxed) as f64 / count as f64
+}
+
+fn one(sample: Sample) -> Option<Vec<Series>> {
+    Some(vec![Series { labels: Vec::new(), sample }])
+}
+
+fn num(value: u64) -> Option<Vec<Series>> {
+    one(Sample::Num(value))
+}
+
+fn count(counter: &AtomicU64) -> Option<Vec<Series>> {
+    num(counter.load(Relaxed))
+}
+
+fn hist(buckets: &[AtomicU64], sum: u64) -> Option<Vec<Series>> {
+    one(Sample::Hist(buckets.iter().map(|c| c.load(Relaxed)).collect(), sum))
+}
+
+fn by_label(values: impl IntoIterator<Item = (String, u64)>) -> Option<Vec<Series>> {
+    Some(
+        values
+            .into_iter()
+            .map(|(label, value)| Series { labels: vec![label], sample: Sample::Num(value) })
+            .collect(),
+    )
+}
+
+/// Every `/metrics` row, in Prometheus exposition order.
+#[rustfmt::skip]
+static ROWS: &[Row] = {
+    use Buckets::*;
+    use Kind::*;
+    &[
+    // JSON path / Prometheus family / kind / labels / help / read
+    Row { json: "requests_total", prom: "hdc_requests_total", kind: Counter, labels: &[],
+        help: "Requests accepted off the wire (any route, any outcome).",
+        read: |s| count(&s.metrics.requests_total) },
+    Row { json: "responses.*", prom: "hdc_responses_total", kind: Counter, labels: &["class"],
+        help: "Responses by status class.",
+        read: |s| {
+            let m = s.metrics;
+            let classes = [("2xx", &m.responses_2xx), ("4xx", &m.responses_4xx),
+                           ("5xx", &m.responses_5xx)];
+            by_label(classes.map(|(class, counter)| (class.to_owned(), counter.load(Relaxed))))
+        } },
+    Row { json: "predict.requests", prom: "hdc_predict_requests_total", kind: Counter, labels: &[],
+        help: "Predict requests.",
+        read: |s| count(&s.metrics.predict_requests) },
+    Row { json: "predict.inputs", prom: "hdc_predict_inputs_total", kind: Counter, labels: &[],
+        help: "Individual inputs carried by predict requests.",
+        read: |s| count(&s.metrics.predict_inputs) },
+    Row { json: "training.requests", prom: "hdc_train_requests_total", kind: Counter, labels: &[],
+        help: "Train requests.",
+        read: |s| count(&s.metrics.train_requests) },
+    Row { json: "training.examples", prom: "hdc_train_examples_total", kind: Counter, labels: &[],
+        help: "Examples absorbed through /v1/train.",
+        read: |s| count(&s.metrics.train_examples) },
+    Row { json: "training.batches", prom: "hdc_train_batches_total", kind: Counter, labels: &[],
+        help: "Coalesced update batches published (one version bump each).",
+        read: |s| count(&s.metrics.train_batches) },
+    Row { json: "training.batch_examples", prom: "hdc_train_batch_examples_total", kind: Counter,
+        labels: &[], help: "Examples and applied feedback absorbed by published update batches.",
+        read: |s| count(&s.metrics.train_batch_examples) },
+    Row { json: "training.mean_batch_size", prom: "", kind: Derived, labels: &[],
+        help: "Mean examples per published update batch.",
+        read: |s| one(Sample::Real(s.metrics.mean_train_batch_size())) },
+    Row { json: "training.feedback.requests", prom: "hdc_feedback_requests_total", kind: Counter,
+        labels: &[], help: "Feedback requests.",
+        read: |s| count(&s.metrics.feedback_requests) },
+    Row { json: "training.feedback.applied", prom: "hdc_feedback_applied_total", kind: Counter,
+        labels: &[], help: "Feedback requests that applied an adaptive update.",
+        read: |s| count(&s.metrics.feedback_applied) },
+    Row { json: "overload.shed_total", prom: "hdc_shed_total", kind: Counter, labels: &[],
+        help: "Requests shed because a job queue was full (503).",
+        read: |s| count(&s.metrics.shed_total) },
+    Row { json: "overload.deadline_expired_total", prom: "hdc_deadline_expired_total", kind: Counter,
+        labels: &[], help: "Queued jobs whose wait deadline expired (504).",
+        read: |s| count(&s.metrics.deadline_expired_total) },
+    Row { json: "overload.worker_panics_total", prom: "hdc_worker_panics_total", kind: Counter,
+        labels: &[], help: "Jobs quarantined by a model panic (500).",
+        read: |s| count(&s.metrics.worker_panics_total) },
+    Row { json: "overload.worker_respawns_total", prom: "hdc_worker_respawns_total", kind: Counter,
+        labels: &[], help: "Batcher workers restarted after an escaped panic.",
+        read: |s| count(&s.metrics.worker_respawns_total) },
+    Row { json: "overload.handler_panics_total", prom: "hdc_handler_panics_total", kind: Counter,
+        labels: &[], help: "Requests whose handler panicked (500); the accept thread kept serving.",
+        read: |s| count(&s.metrics.handler_panics_total) },
+    Row { json: "durability.wal_appends_total", prom: "hdc_wal_appends_total", kind: Counter,
+        labels: &[], help: "Delta records fsynced to write-ahead logs.",
+        read: |s| count(&s.metrics.wal_appends_total) },
+    Row { json: "durability.wal_append_errors_total", prom: "hdc_wal_append_errors_total",
+        kind: Counter, labels: &[], help: "Update batches refused because the WAL append failed.",
+        read: |s| count(&s.metrics.wal_append_errors_total) },
+    Row { json: "durability.wal_records_replayed", prom: "hdc_wal_records_replayed_total",
+        kind: Counter, labels: &[], help: "Records replayed from WAL tails during crash recovery.",
+        read: |s| count(&s.metrics.wal_records_replayed) },
+    Row { json: "replication.records_applied_total", prom: "hdc_replica_records_applied_total",
+        kind: Counter, labels: &[], help: "Delta records applied from the leader.",
+        read: |s| count(&s.metrics.replica_records_applied_total) },
+    Row { json: "replication.resets_total", prom: "hdc_replica_resets_total", kind: Counter,
+        labels: &[], help: "Full follower re-bootstraps (snapshot transfer).",
+        read: |s| count(&s.metrics.replica_resets_total) },
+    Row { json: "replication.poll_errors_total", prom: "hdc_replica_poll_errors_total",
+        kind: Counter, labels: &[], help: "Failed polls against the leader.",
+        read: |s| count(&s.metrics.replica_poll_errors_total) },
+    Row { json: "tracing.recorded_total", prom: "hdc_traces_recorded_total", kind: Counter,
+        labels: &[], help: "Completed traces pushed into the debug ring.",
+        read: |s| num(s.metrics.traces.pushed()) },
+    Row { json: "tracing.slow_total", prom: "hdc_traces_slow_total", kind: Counter, labels: &[],
+        help: "Traces that met the slow-request threshold.",
+        read: |s| num(s.metrics.slow_traces.pushed()) },
+    Row { json: "latency_us", prom: "hdc_request_latency_us", kind: Histogram(Micros, Some("sum_us")),
+        labels: &[], help: "Handler latency of predict, train and feedback requests, in µs.",
+        read: |s| hist(&s.metrics.latency_hist, s.metrics.latency_sum_us.load(Relaxed)) },
+    Row { json: "latency_us.mean", prom: "", kind: Derived, labels: &[],
+        help: "Mean handler latency, in µs.",
+        read: |s| one(Sample::Real(mean(&s.metrics.latency_sum_us, &s.metrics.latency_count))) },
+    Row { json: "latency_us.p50", prom: "", kind: Derived, labels: &[],
+        help: "Median handler latency: the upper bound of its bucket, in µs.",
+        read: |s| num(s.metrics.latency_quantile_us(0.50)) },
+    Row { json: "latency_us.p99", prom: "", kind: Derived, labels: &[],
+        help: "99th-percentile handler latency: the upper bound of its bucket, in µs.",
+        read: |s| num(s.metrics.latency_quantile_us(0.99)) },
+    Row { json: "batches", prom: "hdc_batch_size", kind: Histogram(Sizes, Some("inputs")), labels: &[],
+        help: "Coalesced batch sizes executed.",
+        read: |s| hist(&s.metrics.batch_hist, s.metrics.batch_inputs.load(Relaxed)) },
+    Row { json: "batches.mean_size", prom: "", kind: Derived, labels: &[],
+        help: "Mean coalesced batch size executed.",
+        read: |s| one(Sample::Real(s.metrics.mean_batch_size())) },
+    Row { json: "batches.max_size", prom: "hdc_batch_size_max", kind: Gauge, labels: &[],
+        help: "Largest coalesced batch executed.",
+        read: |s| count(&s.metrics.batch_max) },
+    Row { json: "overload.queue_depth_hist", prom: "hdc_queue_depth_observations_total",
+        kind: Histogram(Depths, None), labels: &[], help: "Enqueues by observed queue depth.",
+        read: |s| hist(&s.metrics.queue_depth_hist, 0) },
+    Row { json: "predict_pool.workers.*", prom: "hdc_predict_workers", kind: Gauge, labels: &["model"],
+        help: "Configured predict-pool executors per model.",
+        read: |s| by_label(s.metrics.predict_workers()) },
+    Row { json: "predict_pool.fanouts", prom: "hdc_pool_fanouts_total", kind: Counter, labels: &[],
+        help: "Predict batches fanned out across the executor pool.",
+        read: |s| count(&s.metrics.pool_fanouts_total) },
+    Row { json: "predict_pool.occupancy_hist", prom: "hdc_pool_occupancy",
+        kind: Histogram(Sizes, None), labels: &[], help: "Executors occupied per pool fan-out.",
+        read: |s| hist(&s.metrics.pool_occupancy_hist, 0) },
+    Row { json: "predict_pool.shard_size_hist", prom: "hdc_pool_shard_size",
+        kind: Histogram(Sizes, None), labels: &[], help: "Inputs per contiguous pool shard.",
+        read: |s| hist(&s.metrics.pool_shard_hist, 0) },
+    Row { json: "stage_latency_us.*.*", prom: "hdc_stage_latency_us",
+        kind: Histogram(Micros, Some("sum_us")), labels: &["model", "stage"],
+        help: "Per-stage request latency by model, in µs, over the stages each request entered.",
+        read: stage_series },
+    Row { json: "process.start_time_unix", prom: "hdc_process_start_time_seconds", kind: Gauge,
+        labels: &[], help: "Unix start time.",
+        read: |s| num(s.metrics.start_epoch_secs) },
+    Row { json: "process.uptime_secs", prom: "hdc_process_uptime_seconds", kind: Gauge, labels: &[],
+        help: "Seconds since start.",
+        read: |s| num(s.metrics.uptime_secs()) },
+    Row { json: "process.rss_kb", prom: "hdc_process_resident_memory_kilobytes", kind: Gauge,
+        labels: &[], help: "Current resident set size.",
+        read: |_| one(rss_current_kb().map_or(Sample::Unknown, Sample::Num)) },
+    Row { json: "process.kernel_backend", prom: "hdc_process_kernel_backend", kind: Info,
+        labels: &["backend"], help: "Active kernel dispatch tier.",
+        read: |_| one(Sample::Text(hdc::kernel::backend::active().name().to_owned())) },
+    Row { json: "process.cpu_features", prom: "hdc_process_cpu_features", kind: Info,
+        labels: &["features"], help: "CPU features the kernel dispatch detected.",
+        read: |_| one(Sample::Text(hdc::kernel::backend::cpu_features().to_owned())) },
+    Row { json: "process.version", prom: "hdc_build_info", kind: Info, labels: &["version"],
+        help: "Build version.",
+        read: |_| one(Sample::Text(env!("CARGO_PKG_VERSION").to_owned())) },
+    Row { json: "models[].version", prom: "hdc_model_version", kind: Gauge, labels: &["model"],
+        help: "Training version of each served model (one bump per published update batch).",
+        read: |s| by_label(s.models.iter().map(|(name, version, _)| (name.clone(), *version))) },
+    Row { json: "models[].generation", prom: "hdc_model_generation", kind: Gauge, labels: &["model"],
+        help: "Load generation of each served model (one bump per install).",
+        read: |s| by_label(s.models.iter().map(|(name, _, generation)| (name.clone(), *generation))) },
+    Row { json: "replication.leader", prom: "hdc_replica_leader", kind: Info, labels: &["leader"],
+        help: "The leader this follower replicates.",
+        read: |s| s.replica.as_ref().and_then(|r| one(Sample::Text(r.leader().to_owned()))) },
+    Row { json: "replication.ready", prom: "hdc_replica_ready", kind: Gauge, labels: &[],
+        help: "1 once every model this follower tracks has caught up.",
+        read: |s| s.replica.as_ref().and_then(|r| one(Sample::Flag(r.is_ready()))) },
+    Row { json: "replication.max_lag", prom: "hdc_replica_max_lag", kind: Gauge, labels: &[],
+        help: "Versions the furthest-behind model trails its leader.",
+        read: |s| s.replica.as_ref().and_then(|r| num(r.max_lag())) },
+    Row { json: "replication.models[].leader_version", prom: "hdc_replica_leader_version",
+        kind: Gauge, labels: &["model"], help: "Newest version the leader reported, per model.",
+        read: |s| synced(s, |status| status.leader_version) },
+    Row { json: "replication.models[].applied_version", prom: "hdc_replica_applied_version",
+        kind: Gauge, labels: &["model"], help: "Newest version applied locally, per model.",
+        read: |s| synced(s, |status| status.applied_version) },
+    Row { json: "replication.models[].lag", prom: "hdc_replica_lag", kind: Gauge, labels: &["model"],
+        help: "Versions each model trails its leader.",
+        read: |s| synced(s, SyncStatus::lag) },
+    ]
+};
+
+/// A follower's per-model replication position, through `field`.
+fn synced(s: &Scrape<'_>, field: fn(&SyncStatus) -> u64) -> Option<Vec<Series>> {
+    let replica = s.replica.as_ref()?;
+    by_label(replica.sync_status().into_iter().map(|(name, status)| (name, field(&status))))
+}
+
+/// One series per model and stage that has samples.
+fn stage_series(s: &Scrape<'_>) -> Option<Vec<Series>> {
+    let mut series = Vec::new();
+    for (model, hist) in s.metrics.stage_hists() {
+        for (stage, name) in STAGE_NAMES.iter().enumerate() {
+            let buckets = hist.stage_buckets(stage);
+            if buckets.iter().any(|&n| n > 0) {
+                series.push(Series {
+                    labels: vec![model.clone(), (*name).to_owned()],
+                    sample: Sample::Hist(buckets, hist.stage_sum_us(stage)),
+                });
             }
         }
+    }
+    Some(series)
+}
 
-        // Predict pool: the per-model worker gauge, fan-out counter, and
-        // occupancy / shard-size histograms.
-        let pool_workers = self.predict_workers();
-        if !pool_workers.is_empty() {
-            out.push_str(
-                "# HELP hdc_predict_workers Configured predict-pool executors per model.\n",
-            );
-            out.push_str("# TYPE hdc_predict_workers gauge\n");
-            for (model, workers) in &pool_workers {
-                out.push_str(&format!("hdc_predict_workers{{model=\"{model}\"}} {workers}\n"));
-            }
-        }
-        counter(
-            &mut out,
-            "hdc_pool_fanouts_total",
-            "Predict batches fanned out across the executor pool.",
-            self.pool_fanouts_total.load(Relaxed),
-        );
-        out.push_str("# HELP hdc_pool_occupancy Executors occupied per pool fan-out.\n");
-        out.push_str("# TYPE hdc_pool_occupancy histogram\n");
-        let mut cumulative = 0u64;
-        for (i, bucket) in
-            self.pool_occupancy_hist.iter().enumerate().take(POOL_OCCUPANCY_BUCKETS - 1)
-        {
-            cumulative += bucket.load(Relaxed);
-            out.push_str(&format!("hdc_pool_occupancy_bucket{{le=\"{}\"}} {cumulative}\n", i + 1));
-        }
-        cumulative += self.pool_occupancy_hist[POOL_OCCUPANCY_BUCKETS - 1].load(Relaxed);
-        out.push_str(&format!("hdc_pool_occupancy_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-        out.push_str(&format!("hdc_pool_occupancy_count {cumulative}\n"));
-        out.push_str("# HELP hdc_pool_shard_size Inputs per contiguous pool shard.\n");
-        out.push_str("# TYPE hdc_pool_shard_size histogram\n");
-        let mut cumulative = 0u64;
-        for (i, bucket) in self.pool_shard_hist.iter().enumerate().take(BATCH_BUCKETS - 1) {
-            cumulative += bucket.load(Relaxed);
-            out.push_str(&format!("hdc_pool_shard_size_bucket{{le=\"{}\"}} {cumulative}\n", i + 1));
-        }
-        cumulative += self.pool_shard_hist[BATCH_BUCKETS - 1].load(Relaxed);
-        out.push_str(&format!("hdc_pool_shard_size_bucket{{le=\"+Inf\"}} {cumulative}\n"));
-        out.push_str(&format!("hdc_pool_shard_size_count {cumulative}\n"));
+impl Buckets {
+    /// The JSON bucket array: the non-empty buckets, each `{<bound>, count}`.
+    fn json(self, counts: &[u64]) -> Json {
+        let last = counts.len() - 1;
+        let buckets = counts.iter().enumerate().filter(|&(_, &n)| n > 0).map(|(i, &n)| {
+            let (key, bound) = match self {
+                Buckets::Micros => ("le_us", Json::from(latency_bucket_bound_us(i))),
+                Buckets::Sizes if i == last => ("size", Json::from(format!("{}+", i + 1))),
+                Buckets::Sizes => ("size", Json::from((i + 1).to_string())),
+                Buckets::Depths => ("lt_depth", Json::from(1u64 << i)),
+            };
+            Json::obj([(key, bound), ("count", Json::from(n))])
+        });
+        Json::Arr(buckets.collect())
+    }
+}
 
-        // Per-stage, per-model latency: one histogram family, labeled.
-        out.push_str("# HELP hdc_stage_latency_us Per-stage request latency by model.\n");
-        out.push_str("# TYPE hdc_stage_latency_us histogram\n");
-        for (model, hist) in self.stage_hists() {
-            for (stage, stage_name) in STAGE_NAMES.iter().enumerate() {
-                if hist.stage_count(stage) == 0 {
+/// Renders read rows as the JSON document: each series at its row's path.
+fn emit_json(rows: &[(&'static Row, Vec<Series>)]) -> Json {
+    let mut doc = BTreeMap::new();
+    for (row, series) in rows {
+        if series.is_empty() {
+            // A labelled row with nothing to show still has its container.
+            place(&mut doc, row.json, &[], Json::Null);
+        }
+        for Series { labels, sample } in series {
+            let value = match sample {
+                Sample::Num(value) => Json::from(*value),
+                Sample::Real(value) => Json::from(*value),
+                Sample::Text(text) => Json::from(text.as_str()),
+                Sample::Flag(flag) => Json::from(*flag),
+                Sample::Unknown => Json::Null,
+                Sample::Hist(counts, sum) => {
+                    let Kind::Histogram(buckets, sum_key) = row.kind else {
+                        unreachable!("only histogram rows read buckets")
+                    };
+                    let Some(sum_key) = sum_key else {
+                        place(&mut doc, row.json, labels, buckets.json(counts));
+                        continue;
+                    };
+                    let at = |key: &str| format!("{}.{key}", row.json);
+                    let total: u64 = counts.iter().sum();
+                    place(&mut doc, &at("count"), labels, Json::from(total));
+                    place(&mut doc, &at(sum_key), labels, Json::from(*sum));
+                    place(&mut doc, &at("hist"), labels, buckets.json(counts));
                     continue;
                 }
-                let mut cumulative = 0u64;
-                for (i, count) in hist.stage_buckets(stage).into_iter().enumerate() {
-                    cumulative += count;
-                    if count > 0 || i == LATENCY_BUCKETS - 1 {
-                        out.push_str(&format!(
-                            "hdc_stage_latency_us_bucket{{model=\"{model}\",stage=\"{stage_name}\",le=\"{}\"}} {cumulative}\n",
-                            latency_bucket_bound_us(i) - 1
-                        ));
-                    }
+            };
+            place(&mut doc, row.json, labels, value);
+        }
+    }
+    Json::Obj(doc)
+}
+
+/// Puts `value` at the dotted JSON `path` (see [`Row::json`]), taking a
+/// label value for each `*` and `[]` segment. When the labels run out
+/// at such a segment (a row with no series), only the containers above
+/// it are created.
+fn place(doc: &mut BTreeMap<String, Json>, path: &str, labels: &[String], value: Json) {
+    let (segment, rest) = path.split_once('.').unwrap_or((path, ""));
+    let (key, labels) = match (segment, labels.split_first()) {
+        ("*", Some((key, labels))) => (key.clone(), labels),
+        ("*", None) => return,
+        _ => (segment.trim_end_matches("[]").to_owned(), labels),
+    };
+    if rest.is_empty() {
+        doc.insert(key, value);
+    } else if segment.ends_with("[]") {
+        let Json::Arr(items) = doc.entry(key).or_insert_with(|| Json::Arr(Vec::new())) else {
+            return;
+        };
+        let Some((name, labels)) = labels.split_first() else { return };
+        let named = |item: &Json| item.get("name").and_then(Json::as_str) == Some(name);
+        let at = items.iter().position(named).unwrap_or_else(|| {
+            items.push(Json::obj([("name", Json::from(name.as_str()))]));
+            items.len() - 1
+        });
+        if let Json::Obj(item) = &mut items[at] {
+            place(item, rest, labels, value);
+        }
+    } else if let Json::Obj(child) = doc.entry(key).or_insert_with(|| Json::Obj(BTreeMap::new())) {
+        place(child, rest, labels, value);
+    }
+}
+
+/// Renders read rows as Prometheus text: `# HELP` and `# TYPE` once per
+/// family that has samples, then its samples. Histogram buckets are
+/// cumulative and end at `+Inf`.
+fn emit_prometheus(rows: &[(&'static Row, Vec<Series>)]) -> String {
+    let mut out = String::with_capacity(8 * 1024);
+    for (row, series) in rows {
+        let kind = match row.kind {
+            Kind::Derived => continue,
+            Kind::Counter | Kind::Histogram(Buckets::Depths, _) => "counter",
+            Kind::Gauge | Kind::Info => "gauge",
+            Kind::Histogram(..) => "histogram",
+        };
+        let mut samples = String::new();
+        for Series { labels, sample } in series {
+            let pairs: Vec<String> = row
+                .labels
+                .iter()
+                .zip(labels)
+                .map(|(name, value)| format!("{name}=\"{value}\""))
+                .collect();
+            let mut line = |suffix: &str, extra: Option<String>, value: &dyn std::fmt::Display| {
+                let all: Vec<&str> =
+                    pairs.iter().map(String::as_str).chain(extra.as_deref()).collect();
+                let labels =
+                    if all.is_empty() { String::new() } else { format!("{{{}}}", all.join(",")) };
+                samples.push_str(&format!("{}{suffix}{labels} {value}\n", row.prom));
+            };
+            match sample {
+                Sample::Num(value) => line("", None, value),
+                Sample::Flag(flag) => line("", None, &u8::from(*flag)),
+                Sample::Text(text) => {
+                    let name = row.labels.last().expect("an info row names its label");
+                    line("", Some(format!("{name}=\"{text}\"")), &1)
                 }
-                out.push_str(&format!(
-                    "hdc_stage_latency_us_bucket{{model=\"{model}\",stage=\"{stage_name}\",le=\"+Inf\"}} {cumulative}\n",
-                ));
-                out.push_str(&format!(
-                    "hdc_stage_latency_us_sum{{model=\"{model}\",stage=\"{stage_name}\"}} {}\n",
-                    hist.stage_sum_us(stage)
-                ));
-                out.push_str(&format!(
-                    "hdc_stage_latency_us_count{{model=\"{model}\",stage=\"{stage_name}\"}} {}\n",
-                    hist.stage_count(stage)
-                ));
+                Sample::Real(_) | Sample::Unknown => {}
+                Sample::Hist(counts, sum) => {
+                    let Kind::Histogram(buckets, sum_key) = row.kind else {
+                        unreachable!("only histogram rows read buckets")
+                    };
+                    if buckets == Buckets::Depths {
+                        for (i, n) in counts.iter().enumerate().filter(|&(_, &n)| n > 0) {
+                            line("", Some(format!("lt=\"{}\"", 1u64 << i)), n);
+                        }
+                        continue;
+                    }
+                    // A labelled family (a series per model and stage)
+                    // prints only its non-empty buckets and the last.
+                    let sparse = !pairs.is_empty();
+                    let last = counts.len() - 1;
+                    let mut total = 0;
+                    for (i, &n) in counts.iter().enumerate() {
+                        total += n;
+                        let le = match buckets {
+                            Buckets::Sizes if i == last => continue,
+                            Buckets::Sizes => i as u64 + 1,
+                            _ => latency_bucket_bound_us(i) - 1,
+                        };
+                        if !sparse || n > 0 || i == last {
+                            line("_bucket", Some(format!("le=\"{le}\"")), &total);
+                        }
+                    }
+                    line("_bucket", Some("le=\"+Inf\"".to_owned()), &total);
+                    if sum_key.is_some() {
+                        line("_sum", None, sum);
+                    }
+                    line("_count", None, &total);
+                }
             }
         }
-
-        // Process vitals.
-        out.push_str("# HELP hdc_process_start_time_seconds Unix start time.\n");
-        out.push_str("# TYPE hdc_process_start_time_seconds gauge\n");
-        out.push_str(&format!("hdc_process_start_time_seconds {}\n", self.start_epoch_secs));
-        out.push_str("# HELP hdc_process_uptime_seconds Seconds since start.\n");
-        out.push_str("# TYPE hdc_process_uptime_seconds gauge\n");
-        out.push_str(&format!("hdc_process_uptime_seconds {}\n", self.uptime_secs()));
-        if let Some(rss) = rss_current_kb() {
-            out.push_str("# HELP hdc_process_resident_memory_kilobytes Current RSS.\n");
-            out.push_str("# TYPE hdc_process_resident_memory_kilobytes gauge\n");
-            out.push_str(&format!("hdc_process_resident_memory_kilobytes {rss}\n"));
+        if !samples.is_empty() {
+            out.push_str(&format!("# HELP {0} {1}\n# TYPE {0} {kind}\n", row.prom, row.help));
+            out.push_str(&samples);
         }
-        out.push_str("# HELP hdc_process_kernel_backend Active kernel dispatch tier as a label.\n");
-        out.push_str("# TYPE hdc_process_kernel_backend gauge\n");
-        out.push_str(&format!(
-            "hdc_process_kernel_backend{{backend=\"{}\"}} 1\n",
-            hdc::kernel::backend::active().name()
-        ));
-        out.push_str("# HELP hdc_build_info Build metadata as labels.\n");
-        out.push_str("# TYPE hdc_build_info gauge\n");
-        out.push_str(&format!("hdc_build_info{{version=\"{}\"}} 1\n", env!("CARGO_PKG_VERSION")));
-        out
     }
+    out
 }
 
 /// A field from `/proc/self/status`, in kB — `None` off Linux or when the
@@ -1121,6 +1131,7 @@ pub fn rss_peak_kb() -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::{Stage, Trace};
 
     #[test]
     fn counts_and_classes() {
@@ -1131,7 +1142,7 @@ mod tests {
         m.on_response(404);
         m.on_response(500);
         assert_eq!(m.requests_total(), 2);
-        let snap = m.render();
+        let snap = m.scrape().json();
         assert_eq!(snap.get("responses").unwrap().get("2xx").unwrap().as_f64(), Some(1.0));
         assert_eq!(snap.get("responses").unwrap().get("4xx").unwrap().as_f64(), Some(1.0));
         assert_eq!(snap.get("responses").unwrap().get("5xx").unwrap().as_f64(), Some(1.0));
@@ -1145,7 +1156,7 @@ mod tests {
         m.on_batch(4);
         m.on_batch(7);
         assert!((m.mean_batch_size() - 4.0).abs() < 1e-12);
-        let snap = m.render();
+        let snap = m.scrape().json();
         let batches = snap.get("batches").unwrap();
         assert_eq!(batches.get("max_size").unwrap().as_f64(), Some(7.0));
         let hist = batches.get("hist").unwrap().as_array().unwrap();
@@ -1160,7 +1171,7 @@ mod tests {
     fn oversized_batches_fold_into_last_bucket() {
         let m = Metrics::new();
         m.on_batch(500);
-        let snap = m.render();
+        let snap = m.scrape().json();
         let hist = snap.get("batches").unwrap().get("hist").unwrap().as_array().unwrap();
         assert_eq!(hist.len(), 1);
         assert_eq!(hist[0].get("size").unwrap().as_str(), Some("65+"));
@@ -1180,7 +1191,7 @@ mod tests {
         assert_eq!(m.pool_shard_hist().iter().sum::<u64>(), 3);
         assert_eq!(m.predict_workers(), vec![("default".to_owned(), 3)]);
 
-        let snap = m.render();
+        let snap = m.scrape().json();
         let pool = snap.get("predict_pool").unwrap();
         assert_eq!(pool.get("workers").unwrap().get("default").unwrap().as_f64(), Some(3.0));
         assert_eq!(pool.get("fanouts").unwrap().as_f64(), Some(2.0));
@@ -1197,7 +1208,7 @@ mod tests {
             .expect("shard bucket for size 6");
         assert_eq!(six.get("count").unwrap().as_f64(), Some(2.0));
 
-        let prom = m.render_prometheus();
+        let prom = m.scrape().prometheus();
         assert!(prom.contains("hdc_predict_workers{model=\"default\"} 3"), "{prom}");
         assert!(prom.contains("hdc_pool_fanouts_total 2"), "{prom}");
         assert!(prom.contains("hdc_pool_occupancy_count 2"), "{prom}");
@@ -1209,7 +1220,7 @@ mod tests {
         let m = Metrics::new();
         m.on_pool_fanout(500);
         m.on_pool_shard(500);
-        let snap = m.render();
+        let snap = m.scrape().json();
         let pool = snap.get("predict_pool").unwrap();
         let occupancy = pool.get("occupancy_hist").unwrap().as_array().unwrap();
         assert_eq!(occupancy.len(), 1);
@@ -1241,7 +1252,7 @@ mod tests {
         m.on_feedback(false);
         assert_eq!(m.train_examples(), 4);
         assert!((m.mean_train_batch_size() - 4.0).abs() < 1e-12);
-        let snap = m.render();
+        let snap = m.scrape().json();
         let training = snap.get("training").unwrap();
         assert_eq!(training.get("requests").unwrap().as_f64(), Some(2.0));
         assert_eq!(training.get("examples").unwrap().as_f64(), Some(4.0));
@@ -1267,7 +1278,7 @@ mod tests {
         assert_eq!(m.deadline_expired_total(), 1);
         assert_eq!(m.worker_panics_total(), 1);
         assert_eq!(m.worker_respawns_total(), 1);
-        let snap = m.render();
+        let snap = m.scrape().json();
         let overload = snap.get("overload").expect("overload section");
         assert_eq!(overload.get("shed_total").unwrap().as_f64(), Some(2.0));
         assert_eq!(overload.get("deadline_expired_total").unwrap().as_f64(), Some(1.0));
@@ -1295,7 +1306,7 @@ mod tests {
         assert_eq!(m.wal_append_errors_total(), 1);
         assert_eq!(m.wal_records_replayed(), 7);
         assert_eq!(m.replica_records_applied_total(), 3);
-        let snap = m.render();
+        let snap = m.scrape().json();
         let durability = snap.get("durability").expect("durability section");
         assert_eq!(durability.get("wal_appends_total").unwrap().as_f64(), Some(2.0));
         assert_eq!(durability.get("wal_records_replayed").unwrap().as_f64(), Some(7.0));
@@ -1310,14 +1321,14 @@ mod tests {
         let m = Metrics::new();
         assert_eq!(m.latency_quantile_us(0.99), 0);
         assert_eq!(m.mean_batch_size(), 0.0);
-        let rendered = m.render().render();
+        let rendered = m.scrape().json().render();
         assert!(rendered.contains("\"requests_total\":0"), "{rendered}");
     }
 
     #[test]
     fn process_section_reports_vitals() {
         let m = Metrics::new();
-        let snap = m.render();
+        let snap = m.scrape().json();
         let process = snap.get("process").expect("process section");
         assert_eq!(process.get("version").unwrap().as_str(), Some(env!("CARGO_PKG_VERSION")));
         assert!(process.get("start_time_unix").unwrap().as_f64().unwrap() > 0.0);
@@ -1383,6 +1394,284 @@ mod tests {
         assert_eq!(hists[0].1.stage_count(crate::trace::Stage::WalAppend as usize), 0);
     }
 
+    /// Removes and returns the JSON value at a row's `path` for one
+    /// series' `labels` (the path grammar of [`Row::json`]).
+    fn take(doc: &mut Json, path: &str, labels: &[String]) -> Option<Json> {
+        let Json::Obj(map) = doc else { return None };
+        let (segment, rest) = path.split_once('.').unwrap_or((path, ""));
+        let (key, labels) = match segment {
+            "*" => labels.split_first().map(|(key, labels)| (key.as_str(), labels))?,
+            _ => (segment.trim_end_matches("[]"), labels),
+        };
+        if rest.is_empty() {
+            return map.remove(key);
+        }
+        let child = map.get_mut(key)?;
+        if !segment.ends_with("[]") {
+            return take(child, rest, labels);
+        }
+        let (name, labels) = labels.split_first()?;
+        let Json::Arr(items) = child else { return None };
+        let item =
+            items.iter_mut().find(|item| item.get("name").and_then(Json::as_str) == Some(name))?;
+        take(item, rest, labels)
+    }
+
+    /// Every scalar left in `doc` apart from the `name` of a named object.
+    fn leftovers(doc: &Json, at: &str, out: &mut Vec<String>) {
+        match doc {
+            Json::Obj(map) => {
+                for (key, value) in map {
+                    if key != "name" || !matches!(value, Json::Str(_)) {
+                        leftovers(value, &format!("{at}.{key}"), out);
+                    }
+                }
+            }
+            Json::Arr(items) => {
+                for (i, item) in items.iter().enumerate() {
+                    leftovers(item, &format!("{at}[{i}]"), out);
+                }
+            }
+            other => out.push(format!("{at} = {other}")),
+        }
+    }
+
+    /// A Prometheus series key as the exposition writes it.
+    fn series(name: &str, labels: &[String]) -> String {
+        if labels.is_empty() {
+            name.to_owned()
+        } else {
+            format!("{name}{{{}}}", labels.join(","))
+        }
+    }
+
+    /// Decodes one JSON bucket array into a full-length count vector.
+    fn json_buckets(buckets: Buckets, hist: &Json, len: usize) -> Vec<u64> {
+        let mut counts = vec![0; len];
+        for bucket in hist.as_array().expect("a bucket array") {
+            let index = match buckets {
+                Buckets::Micros => {
+                    bucket.get("le_us").unwrap().as_f64().unwrap().log2() as usize - 1
+                }
+                Buckets::Depths => {
+                    bucket.get("lt_depth").unwrap().as_f64().unwrap().log2() as usize
+                }
+                Buckets::Sizes => {
+                    let size = bucket.get("size").unwrap().as_str().unwrap();
+                    size.trim_end_matches('+').parse::<usize>().unwrap() - 1
+                }
+            };
+            counts[index] += bucket.get("count").unwrap().as_f64().unwrap() as u64;
+        }
+        counts
+    }
+
+    #[test]
+    fn json_and_prometheus_carry_every_row_with_equal_values() {
+        // Every row gets a distinct non-zero value, so a row that reads
+        // or lands in the wrong place cannot match by accident.
+        let m = Metrics::new();
+        let repeat = |times: u64, f: &dyn Fn()| (0..times).for_each(|_| f());
+        repeat(103, &|| m.on_request());
+        for (status, times) in [(200, 137), (404, 139), (500, 149)] {
+            repeat(times, &|| m.on_response(status));
+        }
+        repeat(7, &|| m.on_predict(3));
+        repeat(11, &|| m.on_train(2));
+        repeat(13, &|| m.on_train_batch(3));
+        repeat(17, &|| m.on_feedback(true));
+        repeat(2, &|| m.on_feedback(false));
+        repeat(23, &|| m.on_shed());
+        repeat(29, &|| m.on_deadline_expired());
+        repeat(31, &|| m.on_worker_panic());
+        repeat(37, &|| m.on_worker_respawn());
+        repeat(41, &|| m.on_handler_panic());
+        repeat(43, &|| m.on_wal_append());
+        repeat(47, &|| m.on_wal_append_error());
+        m.on_wal_replay(53);
+        m.on_replica_applied(59);
+        repeat(61, &|| m.on_replica_reset());
+        repeat(67, &|| m.on_replica_poll_error());
+        for size in [1, 4, 4, 64, 70] {
+            m.on_batch(size);
+        }
+        for us in [0, 3, 300, 300, 20_000_000] {
+            m.on_latency(Duration::from_micros(us));
+        }
+        for depth in [0, 3, 3, 100_000] {
+            m.on_enqueue_depth(depth);
+        }
+        repeat(73, &|| m.on_pool_fanout(2));
+        m.on_pool_fanout(40);
+        for size in [6, 6, 1, 100] {
+            m.on_pool_shard(size);
+        }
+        m.set_predict_workers("default", 79);
+        m.set_predict_workers("second", 83);
+        m.set_slow_request_us(1_000);
+        for (i, model) in ["default", "default", "second"].into_iter().enumerate() {
+            let trace = Trace::new(&format!("t{i}"), true);
+            trace.set_model(model);
+            for stage in [Stage::HeadParse, Stage::QueueWait, Stage::Execute, Stage::ReplyWrite] {
+                trace.record(stage, (stage as u64 + 1) * 10 + i as u64);
+            }
+            trace.record(Stage::BodyRead, 0);
+            if model == "default" {
+                trace.record(Stage::WalAppend, 900 + i as u64);
+                trace.record(Stage::Publish, 5);
+            }
+            m.on_trace(&trace.finalize(200, 2_000 * i as u64).unwrap());
+        }
+        let replica = Arc::new(ReplicaState::new("10.0.0.7:9000"));
+        replica.expect_models(&["default".into(), "second".into()]);
+        replica.note_sync("default", 107, 107, 1);
+        replica.note_sync("second", 127, 127, 1);
+        replica.note_sync("default", 113, 109, 2);
+        replica.note_sync("second", 131, 126, 3);
+        let scrape = Scrape {
+            metrics: &m,
+            models: vec![("default".into(), 89, 97), ("second".into(), 101, 151)],
+            replica: Some(replica),
+        };
+
+        // Both views render from one reading, so even the process vitals
+        // (uptime, RSS) agree.
+        let rows = scrape.read();
+        assert_eq!(rows.len(), ROWS.len(), "every row applies to a follower");
+        let mut json = emit_json(&rows);
+        let text = emit_prometheus(&rows);
+        let mut prom: BTreeMap<String, String> = text
+            .lines()
+            .filter(|line| !line.starts_with('#'))
+            .map(|line| {
+                let (series, value) = line.rsplit_once(' ').expect("a sample line");
+                (series.to_owned(), value.to_owned())
+            })
+            .collect();
+
+        const DERIVED: [&str; 5] = [
+            "training.mean_batch_size",
+            "latency_us.mean",
+            "latency_us.p50",
+            "latency_us.p99",
+            "batches.mean_size",
+        ];
+        let mut numbers = Vec::new();
+        for (row, read) in &rows {
+            assert_eq!(row.kind == Kind::Derived, DERIVED.contains(&row.json), "{}", row.json);
+            assert!(!read.is_empty(), "{} has no series", row.json);
+            for Series { labels, sample } in read {
+                let mut pairs: Vec<String> = row
+                    .labels
+                    .iter()
+                    .zip(labels)
+                    .map(|(name, value)| format!("{name}=\"{value}\""))
+                    .collect();
+                // A histogram with a sum shares its path with its siblings.
+                let in_json = match row.kind {
+                    Kind::Histogram(_, Some(_)) => None,
+                    _ => take(&mut json, row.json, labels),
+                };
+                let mut in_prom = |suffix: &str, extra: &[String]| {
+                    let all = [&pairs[..], extra].concat();
+                    prom.remove(&series(&format!("{}{suffix}", row.prom), &all))
+                };
+                let where_ = format!("{} {labels:?}", row.json);
+                match sample {
+                    Sample::Real(_) | Sample::Num(_) if row.kind == Kind::Derived => {
+                        assert!(in_json.is_some(), "{where_} missing from JSON");
+                    }
+                    Sample::Num(value) => {
+                        assert_eq!(
+                            in_json.and_then(|v| v.as_f64()),
+                            Some(*value as f64),
+                            "{where_}"
+                        );
+                        assert_eq!(in_prom("", &[]), Some(value.to_string()), "{where_}");
+                        if !row.json.starts_with("process.") && row.json != "replication.max_lag" {
+                            numbers.push(*value);
+                        }
+                    }
+                    Sample::Flag(flag) => {
+                        assert_eq!(in_json.and_then(|v| v.as_bool()), Some(*flag), "{where_}");
+                        assert_eq!(in_prom("", &[]), Some(u8::from(*flag).to_string()), "{where_}");
+                    }
+                    Sample::Text(text) => {
+                        assert_eq!(in_json.as_ref().and_then(Json::as_str), Some(text.as_str()));
+                        let name = row.labels.last().unwrap();
+                        let label = format!("{name}=\"{text}\"");
+                        assert_eq!(in_prom("", &[label]), Some("1".to_owned()), "{where_}");
+                    }
+                    Sample::Unknown => assert_eq!(in_json, Some(Json::Null), "{where_}"),
+                    Sample::Real(_) => unreachable!("only derived rows are real"),
+                    Sample::Hist(counts, sum) => {
+                        let Kind::Histogram(buckets, sum_key) = row.kind else { unreachable!() };
+                        assert!(counts.iter().any(|&n| n > 0), "{where_} is empty");
+                        let total: u64 = counts.iter().sum();
+                        // JSON: the bucket array, plus count and sum.
+                        let hist = match sum_key {
+                            None => in_json,
+                            Some(sum_key) => {
+                                let at = |key: &str| format!("{}.{key}", row.json);
+                                let count = take(&mut json, &at("count"), labels);
+                                assert_eq!(count.and_then(|v| v.as_f64()), Some(total as f64));
+                                let json_sum = take(&mut json, &at(sum_key), labels);
+                                assert_eq!(json_sum.and_then(|v| v.as_f64()), Some(*sum as f64));
+                                assert_eq!(in_prom("_sum", &[]), Some(sum.to_string()), "{where_}");
+                                assert_eq!(in_prom("_count", &[]), Some(total.to_string()));
+                                take(&mut json, &at("hist"), labels)
+                            }
+                        };
+                        let hist = hist.unwrap_or_else(|| panic!("{where_} missing from JSON"));
+                        assert_eq!(&json_buckets(buckets, &hist, counts.len()), counts, "{where_}");
+                        // Prometheus: de-cumulate the `le` buckets.
+                        let mut from_prom = vec![0; counts.len()];
+                        if buckets == Buckets::Depths {
+                            for (i, n) in from_prom.iter_mut().enumerate() {
+                                let lt = format!("lt=\"{}\"", 1u64 << i);
+                                *n = in_prom("", &[lt]).map_or(0, |v| v.parse().unwrap());
+                            }
+                        } else {
+                            if sum_key.is_none() {
+                                assert_eq!(in_prom("_count", &[]), Some(total.to_string()));
+                            }
+                            let inf = in_prom("_bucket", &["le=\"+Inf\"".to_owned()]);
+                            assert_eq!(inf, Some(total.to_string()), "{where_}");
+                            let mut below = 0;
+                            for (i, n) in from_prom.iter_mut().enumerate() {
+                                let le = match buckets {
+                                    Buckets::Sizes if i + 1 == counts.len() => None,
+                                    Buckets::Sizes => Some(i as u64 + 1),
+                                    _ => Some(latency_bucket_bound_us(i) - 1),
+                                };
+                                let cumulative = match le {
+                                    Some(le) => in_prom("_bucket", &[format!("le=\"{le}\"")])
+                                        .map(|v| v.parse::<u64>().unwrap()),
+                                    None => Some(total), // the last size bucket is +Inf's
+                                };
+                                if let Some(cumulative) = cumulative {
+                                    *n = cumulative - below;
+                                    below = cumulative;
+                                }
+                            }
+                        }
+                        assert_eq!(&from_prom, counts, "{where_}");
+                    }
+                }
+                pairs.clear();
+            }
+        }
+        let mut left = Vec::new();
+        leftovers(&json, "", &mut left);
+        assert!(left.is_empty(), "JSON values no row accounts for: {left:?}");
+        assert!(prom.is_empty(), "Prometheus samples no row accounts for: {prom:?}");
+        let mut distinct = numbers.clone();
+        distinct.sort_unstable();
+        distinct.dedup();
+        assert_eq!(distinct.len(), numbers.len(), "values repeat: {numbers:?}");
+        assert!(!numbers.contains(&0), "{numbers:?}");
+    }
+
     #[test]
     fn prometheus_rendering_is_wellformed() {
         let m = Metrics::new();
@@ -1395,7 +1684,7 @@ mod tests {
             crate::trace::TraceRecord::synthetic("t1".into(), "default".into(), "reply_write", 400);
         record.stages[crate::trace::Stage::Execute as usize] = 300;
         m.on_trace(&record);
-        let text = m.render_prometheus();
+        let text = m.scrape().prometheus();
         assert!(text.contains("# TYPE hdc_requests_total counter\nhdc_requests_total 1\n"));
         assert!(text.contains("hdc_responses_total{class=\"2xx\"} 1"), "{text}");
         assert!(text.contains("hdc_request_latency_us_bucket{le=\"+Inf\"} 1"), "{text}");

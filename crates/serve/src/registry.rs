@@ -52,6 +52,7 @@
 //! use hdc_serve::metrics::Metrics;
 //! use hdc_serve::registry::Registry;
 //! use hdc_serve::loadgen::synthetic_model;
+//! use hdc_serve::trace::Trace;
 //! use std::sync::Arc;
 //!
 //! let registry = Registry::new(Arc::new(Metrics::new()), BatchConfig::default());
@@ -62,7 +63,7 @@
 //! assert_eq!(entry.info().kind, hdc::ModelKind::Dense);
 //!
 //! // Online update: one labeled example through the coalescer.
-//! let outcome = entry.batcher().train(vec![(vec![224u8; 16], 1)])?;
+//! let outcome = entry.batcher().train(vec![(vec![224u8; 16], 1)], Trace::off())?;
 //! assert_eq!(outcome.applied, 1);
 //! assert_eq!(outcome.version, 1);
 //! assert_eq!(entry.version(), 1);
@@ -986,6 +987,7 @@ impl Registry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::Trace;
     use hdc::io::save_pixel_classifier;
     use hdc::memory::ValueEncoding;
     use hdc::prelude::*;
@@ -1058,9 +1060,9 @@ mod tests {
         let rendered = entry.render_info().render();
         assert!(rendered.contains("\"kind\":\"binary\""), "{rendered}");
         // Predict + train flow through the identical machinery.
-        let prediction = entry.batcher().predict(vec![224u8; 16]).unwrap();
+        let prediction = entry.batcher().predict(vec![224u8; 16], Trace::off()).unwrap();
         assert_eq!(prediction.class, 1);
-        let outcome = entry.batcher().train(vec![(vec![224u8; 16], 1)]).unwrap();
+        let outcome = entry.batcher().train(vec![(vec![224u8; 16], 1)], Trace::off()).unwrap();
         assert_eq!((outcome.applied, outcome.version), (1, 1));
     }
 
@@ -1100,7 +1102,7 @@ mod tests {
         assert_eq!(info2.generation, 2);
         assert_eq!(r.get("default").unwrap().info().generation, 2);
         assert!(first.model().predict(&[0u8; 16][..]).is_ok());
-        assert!(first.batcher().predict(vec![0u8; 16]).is_ok());
+        assert!(first.batcher().predict(vec![0u8; 16], Trace::off()).is_ok());
 
         // A failed reload leaves the current model serving.
         std::fs::write(&path, b"HDC1 garbage").unwrap();
@@ -1132,7 +1134,7 @@ mod tests {
         assert_eq!(r.load("m", &binary_path).unwrap().kind, ModelKind::Binary);
         // Same entry, new kind, still serving.
         assert_eq!(entry.info().kind, ModelKind::Binary);
-        assert_eq!(entry.batcher().predict(vec![224u8; 16]).unwrap().class, 1);
+        assert_eq!(entry.batcher().predict(vec![224u8; 16], Trace::off()).unwrap().class, 1);
 
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1147,11 +1149,17 @@ mod tests {
         let r = registry();
         r.load("default", &path).unwrap();
         let entry = r.get("default").unwrap();
-        assert_eq!(entry.batcher().train(vec![(vec![128u8; 16], 0)]).unwrap().version, 1);
+        assert_eq!(
+            entry.batcher().train(vec![(vec![128u8; 16], 0)], Trace::off()).unwrap().version,
+            1
+        );
         r.load("default", &path).unwrap();
         // The lineage continues across the reload: next publish is 2.
         assert_eq!(entry.version(), 1);
-        assert_eq!(entry.batcher().train(vec![(vec![128u8; 16], 0)]).unwrap().version, 2);
+        assert_eq!(
+            entry.batcher().train(vec![(vec![128u8; 16], 0)], Trace::off()).unwrap().version,
+            2
+        );
         assert_eq!(entry.shared().trained_examples(), 2);
 
         std::fs::remove_dir_all(&dir).ok();
@@ -1184,7 +1192,8 @@ mod tests {
                     for i in 0..TRAINS {
                         let entry = r.get("default").unwrap();
                         let fill = ((t * 31 + i * 7) % 200) as u8;
-                        let outcome = entry.batcher().train(vec![(vec![fill; 16], 0)]).unwrap();
+                        let outcome =
+                            entry.batcher().train(vec![(vec![fill; 16], 0)], Trace::off()).unwrap();
                         assert!(
                             outcome.version > last,
                             "train versions must be strictly increasing per client: \
@@ -1281,7 +1290,7 @@ mod tests {
         let entry = r.get("default").unwrap();
         let v0 = entry.model();
         for _ in 0..3 {
-            entry.batcher().train(vec![(vec![128u8; 16], 0)]).unwrap();
+            entry.batcher().train(vec![(vec![128u8; 16], 0)], Trace::off()).unwrap();
         }
         let v3 = entry.model();
         assert_eq!(entry.version(), 3);
@@ -1295,7 +1304,7 @@ mod tests {
         r.insert_model("bin", trained_binary(6)).unwrap();
         let entry = r.get("bin").unwrap();
         let b0 = entry.model();
-        entry.batcher().train(vec![(vec![128u8; 16], 0)]).unwrap();
+        entry.batcher().train(vec![(vec![128u8; 16], 0)], Trace::off()).unwrap();
         let b1 = entry.model();
         assert!(!Arc::ptr_eq(&b0, &b1));
         assert!(Arc::ptr_eq(b0.encoder_arc(), b1.encoder_arc()));
@@ -1347,7 +1356,11 @@ mod tests {
 
         // Train one model; only it flushes, to <name>.autosave.hdc in the
         // jail, and the autosave is a loadable model.
-        r.get("default").unwrap().batcher().train(vec![(vec![128u8; 16], 0)]).unwrap();
+        r.get("default")
+            .unwrap()
+            .batcher()
+            .train(vec![(vec![128u8; 16], 0)], Trace::off())
+            .unwrap();
         assert!(r.get("default").unwrap().shared().is_dirty());
         assert_eq!(r.flush_dirty(), 1);
         let autosave = dir.join("default.autosave.hdc");
@@ -1358,11 +1371,19 @@ mod tests {
         // next publish.
         assert!(!r.get("default").unwrap().shared().is_dirty());
         assert_eq!(r.flush_dirty(), 0);
-        r.get("default").unwrap().batcher().train(vec![(vec![128u8; 16], 0)]).unwrap();
+        r.get("default")
+            .unwrap()
+            .batcher()
+            .train(vec![(vec![128u8; 16], 0)], Trace::off())
+            .unwrap();
         assert_eq!(r.flush_dirty(), 1);
 
         // A reload discards unsaved progress deliberately: clean again.
-        r.get("default").unwrap().batcher().train(vec![(vec![128u8; 16], 0)]).unwrap();
+        r.get("default")
+            .unwrap()
+            .batcher()
+            .train(vec![(vec![128u8; 16], 0)], Trace::off())
+            .unwrap();
         r.load("default", Path::new("m.hdc")).unwrap();
         assert_eq!(r.flush_dirty(), 0);
 
@@ -1395,10 +1416,13 @@ mod tests {
         live.load("default", &path).unwrap();
         let entry = live.get("default").unwrap();
         for i in 0..5u8 {
-            entry.batcher().train(vec![(vec![i * 40; 16], usize::from(i % 2))]).unwrap();
+            entry
+                .batcher()
+                .train(vec![(vec![i * 40; 16], usize::from(i % 2))], Trace::off())
+                .unwrap();
         }
         // An applied feedback (mispredicted light image) rides the log too.
-        let fb = entry.batcher().feedback(vec![224u8; 16], 0).unwrap();
+        let fb = entry.batcher().feedback(vec![224u8; 16], 0, Trace::off()).unwrap();
         assert!(fb.updated);
         assert_eq!(entry.version(), 6);
         assert!(wal::wal_path(&path).exists(), "appends must create the sidecar log");
@@ -1438,13 +1462,13 @@ mod tests {
         live.load("default", &path).unwrap();
         let entry = live.get("default").unwrap();
         for _ in 0..3 {
-            entry.batcher().train(vec![(vec![128u8; 16], 0)]).unwrap();
+            entry.batcher().train(vec![(vec![128u8; 16], 0)], Trace::off()).unwrap();
         }
         // Snapshot over the durable home: the log compacts at version 3.
         assert_eq!(live.snapshot("default", &path).unwrap(), 3);
         // Two more updates land in the compacted log.
         for _ in 0..2 {
-            entry.batcher().train(vec![(vec![40u8; 16], 1)]).unwrap();
+            entry.batcher().train(vec![(vec![40u8; 16], 1)], Trace::off()).unwrap();
         }
 
         let recovered = registry();
@@ -1459,8 +1483,8 @@ mod tests {
         assert_counters_equal(&entry, &r);
 
         // Continue training after recovery: the lineages stay in lockstep.
-        entry.batcher().train(vec![(vec![77u8; 16], 0)]).unwrap();
-        r.batcher().train(vec![(vec![77u8; 16], 0)]).unwrap();
+        entry.batcher().train(vec![(vec![77u8; 16], 0)], Trace::off()).unwrap();
+        r.batcher().train(vec![(vec![77u8; 16], 0)], Trace::off()).unwrap();
         assert_eq!(r.version(), entry.version());
         assert_counters_equal(&entry, &r);
 
@@ -1477,12 +1501,12 @@ mod tests {
         let live = registry();
         live.load("default", &path).unwrap();
         let entry = live.get("default").unwrap();
-        entry.batcher().train(vec![(vec![128u8; 16], 0)]).unwrap();
+        entry.batcher().train(vec![(vec![128u8; 16], 0)], Trace::off()).unwrap();
         // Operator reload: the file is authoritative, the logged tail is
         // deliberately discarded (the lineage itself continues at 1).
         live.load("default", &path).unwrap();
         assert_eq!(entry.version(), 1);
-        entry.batcher().train(vec![(vec![60u8; 16], 1)]).unwrap();
+        entry.batcher().train(vec![(vec![60u8; 16], 1)], Trace::off()).unwrap();
 
         // Recovery sees only the post-reload record: the discarded tail
         // must not resurrect.
@@ -1523,7 +1547,10 @@ mod tests {
                 scope.spawn(|| {
                     while !stop.load(Ordering::Relaxed) {
                         let entry = r.get("default").expect("entry must never vanish");
-                        entry.batcher().predict(vec![224u8; 16]).expect("model must keep serving");
+                        entry
+                            .batcher()
+                            .predict(vec![224u8; 16], Trace::off())
+                            .expect("model must keep serving");
                     }
                 });
             }
@@ -1531,7 +1558,11 @@ mod tests {
                 let mut last = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     let entry = r.get("default").unwrap();
-                    let v = entry.batcher().train(vec![(vec![128u8; 16], 0)]).unwrap().version;
+                    let v = entry
+                        .batcher()
+                        .train(vec![(vec![128u8; 16], 0)], Trace::off())
+                        .unwrap()
+                        .version;
                     assert!(v > last, "lineage must stay monotonic across reload flaps");
                     last = v;
                 }
@@ -1553,7 +1584,7 @@ mod tests {
         });
 
         // Still serving after the drill.
-        assert!(r.get("default").unwrap().batcher().predict(vec![0u8; 16]).is_ok());
+        assert!(r.get("default").unwrap().batcher().predict(vec![0u8; 16], Trace::off()).is_ok());
         std::fs::remove_dir_all(&dir).ok();
     }
 }

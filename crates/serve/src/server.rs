@@ -14,8 +14,9 @@ use crate::error::ServeError;
 use crate::http::{self, HttpError, Request};
 use crate::json::{self, Json};
 use crate::log;
+use crate::metrics::Scrape;
 use crate::registry::Registry;
-use crate::trace::{self, ActiveTrace, Stage, TraceRecord, STAGE_NAMES};
+use crate::trace::{self, Stage, Trace, TraceRecord, STAGE_NAMES};
 use std::io::{BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -234,13 +235,10 @@ fn serve_connection(
                     .header("x-request-id")
                     .filter(|id| trace::valid_id(id))
                     .map_or_else(trace::generate_id, str::to_owned);
-                let active =
-                    registry.metrics().trace_enabled().then(|| ActiveTrace::new(trace_id.clone()));
-                if let Some(active) = &active {
-                    active.record_span(Stage::HeadParse, timings.first_byte, timings.head_done);
-                    active.record_span(Stage::BodyRead, timings.head_done, timings.body_done);
-                }
-                let mut reply = route_isolated(&request, registry, active.as_ref());
+                let trace = Trace::new(&trace_id, registry.metrics().trace_enabled());
+                trace.record_span(Stage::HeadParse, timings.first_byte, timings.head_done);
+                trace.record_span(Stage::BodyRead, timings.head_done, timings.body_done);
+                let mut reply = route_isolated(&request, registry, &trace);
                 registry.metrics().on_response(reply.status);
                 reply.headers.push(("x-request-id".to_owned(), trace_id));
                 let write_started = Instant::now();
@@ -256,12 +254,11 @@ fn serve_connection(
                 {
                     return;
                 }
-                if let Some(active) = &active {
-                    let written = Instant::now();
-                    active.record_span(Stage::ReplyWrite, write_started, written);
-                    let total_us =
-                        written.saturating_duration_since(timings.first_byte).as_micros() as u64;
-                    let record = active.finalize(reply.status, total_us);
+                let written = Instant::now();
+                trace.record_span(Stage::ReplyWrite, write_started, written);
+                let total_us =
+                    written.saturating_duration_since(timings.first_byte).as_micros() as u64;
+                if let Some(record) = trace.finalize(reply.status, total_us) {
                     if registry.metrics().on_trace(&record) {
                         log_slow_request(&record);
                     }
@@ -321,11 +318,7 @@ fn log_slow_request(record: &TraceRecord) {
         ("total_us", record.total_us.to_string()),
         ("terminal", record.terminal.to_owned()),
     ];
-    for (i, name) in STAGE_NAMES.iter().enumerate() {
-        if record.stages[i] > 0 {
-            fields.push((name, record.stages[i].to_string()));
-        }
-    }
+    fields.extend(record.entered_stages().map(|(i, us)| (STAGE_NAMES[i], us.to_string())));
     log::warn("server.slow_request", "slow request", &fields);
 }
 
@@ -375,16 +368,10 @@ fn require_leader(registry: &Registry) -> Result<(), ServeError> {
 /// [`route`] under `catch_unwind`: a handler that panics answers 500,
 /// counts in `handler_panics_total` and marks its trace's terminal
 /// `panic`, and the calling accept thread survives it.
-fn route_isolated(
-    request: &Request,
-    registry: &Registry,
-    active: Option<&Arc<ActiveTrace>>,
-) -> Reply {
-    catch_unwind(AssertUnwindSafe(|| route(request, registry, active))).unwrap_or_else(|_| {
+fn route_isolated(request: &Request, registry: &Registry, trace: &Trace) -> Reply {
+    catch_unwind(AssertUnwindSafe(|| route(request, registry, trace))).unwrap_or_else(|_| {
         registry.metrics().on_handler_panic();
-        if let Some(active) = active {
-            active.set_terminal("panic");
-        }
+        trace.set_terminal("panic");
         let error = ServeError::Panicked("request handler panicked".into());
         json_reply(error.status(), &error.body())
     })
@@ -393,7 +380,7 @@ fn route_isolated(
 /// Dispatches one parsed request to its handler; the error arm turns any
 /// [`ServeError`] into its status, extra headers (`Allow` on 405) and
 /// JSON body.
-fn route(request: &Request, registry: &Registry, active: Option<&Arc<ActiveTrace>>) -> Reply {
+fn route(request: &Request, registry: &Registry, trace: &Trace) -> Reply {
     #[cfg(test)]
     tests::maybe_inject_handler_panic(request);
     // The path may carry a query string (`/v1/deltas?model=..&from=..`):
@@ -412,9 +399,9 @@ fn route(request: &Request, registry: &Registry, active: Option<&Arc<ActiveTrace
             status: 200,
             headers: Vec::new(),
             content_type: "text/plain; version=0.0.4",
-            body: registry.metrics().render_prometheus().into_bytes(),
+            body: scrape(registry).prometheus().into_bytes(),
         }),
-        ("GET", "/metrics") => handle_metrics(registry).map(|doc| json_reply(200, &doc)),
+        ("GET", "/metrics") => Ok(json_reply(200, &scrape(registry).json())),
         ("GET", "/debug/traces") => {
             handle_traces(query, registry, false).map(|doc| json_reply(200, &doc))
         }
@@ -425,13 +412,13 @@ fn route(request: &Request, registry: &Registry, active: Option<&Arc<ActiveTrace
         ("GET", "/v1/deltas") => handle_deltas(query, registry).map(|doc| json_reply(200, &doc)),
         ("GET", "/v1/export") => handle_export(query, registry),
         ("POST", "/v1/predict") => {
-            handle_predict(request, registry, active).map(|doc| json_reply(200, &doc))
+            handle_predict(request, registry, trace).map(|doc| json_reply(200, &doc))
         }
         ("POST", "/v1/train") => require_leader(registry)
-            .and_then(|()| handle_train(request, registry, active))
+            .and_then(|()| handle_train(request, registry, trace))
             .map(|doc| json_reply(200, &doc)),
         ("POST", "/v1/feedback") => require_leader(registry)
-            .and_then(|()| handle_feedback(request, registry, active))
+            .and_then(|()| handle_feedback(request, registry, trace))
             .map(|doc| json_reply(200, &doc)),
         // A follower may snapshot (it persists replicated — hence
         // durable-on-the-leader — state locally) but not reload: a local
@@ -568,47 +555,19 @@ fn handle_models(registry: &Registry) -> Result<Json, ServeError> {
     Ok(Json::obj([("models", Json::Arr(models))]))
 }
 
-/// `GET /metrics` — the shared counters plus each model's live training
-/// version, so a scraper sees version bumps without hitting `/v1/models`.
-fn handle_metrics(registry: &Registry) -> Result<Json, ServeError> {
-    let mut doc = registry.metrics().render();
-    if let Json::Obj(map) = &mut doc {
-        let models: Vec<Json> = registry
-            .entries()
-            .iter()
-            .map(|entry| {
-                Json::obj([
-                    ("name", Json::from(entry.info().name.as_str())),
-                    ("version", Json::from(entry.version())),
-                    ("generation", Json::from(entry.info().generation)),
-                ])
-            })
-            .collect();
-        map.insert("models".into(), Json::Arr(models));
-        // On a follower, flesh out the replication section with the live
-        // per-model lag so a scraper can alert on drift.
-        if let Some(replica) = registry.replica() {
-            let sync: Vec<Json> = replica
-                .sync_status()
-                .into_iter()
-                .map(|(name, s)| {
-                    Json::obj([
-                        ("name", Json::from(name)),
-                        ("leader_version", Json::from(s.leader_version)),
-                        ("applied_version", Json::from(s.applied_version)),
-                        ("lag", Json::from(s.lag())),
-                    ])
-                })
-                .collect();
-            if let Some(Json::Obj(section)) = map.get_mut("replication") {
-                section.insert("leader".into(), Json::from(replica.leader()));
-                section.insert("ready".into(), Json::from(replica.is_ready()));
-                section.insert("max_lag".into(), Json::from(replica.max_lag()));
-                section.insert("models".into(), Json::Arr(sync));
-            }
-        }
-    }
-    Ok(doc)
+/// `GET /metrics` reads the shared counters plus the registry's rows:
+/// each model's live training version (so a scraper sees version bumps
+/// without hitting `/v1/models`) and, on a follower, its replication lag.
+fn scrape(registry: &Registry) -> Scrape<'_> {
+    let models = registry
+        .entries()
+        .iter()
+        .map(|entry| {
+            let info = entry.info();
+            (info.name, entry.version(), info.generation)
+        })
+        .collect();
+    Scrape { models, replica: registry.replica(), ..registry.metrics().scrape() }
 }
 
 /// `GET /debug/traces[?model=NAME&status=N&min_us=N&terminal=NAME]` — the
@@ -658,12 +617,8 @@ fn handle_traces(query: &str, registry: &Registry, slow: bool) -> Result<Json, S
 
 /// Renders one trace record; only the stages the request entered appear.
 fn render_trace(record: &TraceRecord) -> Json {
-    let stages: Vec<(&'static str, Json)> = STAGE_NAMES
-        .iter()
-        .enumerate()
-        .filter(|&(i, _)| record.stages[i] > 0)
-        .map(|(i, name)| (*name, Json::from(record.stages[i])))
-        .collect();
+    let stages: Vec<(&'static str, Json)> =
+        record.entered_stages().map(|(i, us)| (STAGE_NAMES[i], Json::from(us))).collect();
     Json::obj([
         ("id", Json::from(record.id.as_str())),
         ("model", Json::from(record.model.as_str())),
@@ -758,15 +713,13 @@ fn render_prediction(p: &hdc::Prediction) -> Json {
 fn handle_predict(
     request: &Request,
     registry: &Registry,
-    active: Option<&Arc<ActiveTrace>>,
+    trace: &Trace,
 ) -> Result<Json, ServeError> {
     let started = Instant::now();
     let body = parse_body(request)?;
     let model_name = model_name(&body)?;
     let entry = registry.get(model_name)?;
-    if let Some(active) = active {
-        active.set_model(model_name);
-    }
+    trace.set_model(model_name);
     let response = match (body.get("input"), body.get("inputs")) {
         (Some(_), Some(_)) => {
             return Err(ServeError::BadRequest(
@@ -776,7 +729,7 @@ fn handle_predict(
         (Some(input), None) => {
             registry.metrics().on_predict(1);
             let pixels = decode_input(input, "input")?;
-            let prediction = entry.batcher().predict_traced(pixels, active.cloned())?;
+            let prediction = entry.batcher().predict(pixels, trace.clone())?;
             let mut obj = render_prediction(&prediction);
             if let Json::Obj(map) = &mut obj {
                 map.insert("model".into(), Json::from(model_name));
@@ -802,10 +755,8 @@ fn handle_predict(
             // across the model's predict pool, so a large explicit batch
             // scales the same way coalesced traffic does.
             let execute_started = Instant::now();
-            let predictions = entry.batcher().predict_batch_direct(decoded, active)?;
-            if let Some(active) = active {
-                active.record_span(Stage::Execute, execute_started, Instant::now());
-            }
+            let predictions = entry.batcher().predict_batch_direct(decoded, trace)?;
+            trace.record_since(Stage::Execute, execute_started);
             Json::obj([
                 ("model", Json::from(model_name)),
                 ("results", Json::Arr(predictions.iter().map(render_prediction).collect())),
@@ -826,18 +777,12 @@ fn handle_predict(
 /// `{"examples": [{"input": [...], "label": n}, ...]}`. Examples ride the
 /// model's coalescing batcher into one `partial_fit_batch`; the response
 /// reports how many were absorbed and the model version after the batch.
-fn handle_train(
-    request: &Request,
-    registry: &Registry,
-    active: Option<&Arc<ActiveTrace>>,
-) -> Result<Json, ServeError> {
+fn handle_train(request: &Request, registry: &Registry, trace: &Trace) -> Result<Json, ServeError> {
     let started = Instant::now();
     let body = parse_body(request)?;
     let model_name = model_name(&body)?;
     let entry = registry.get(model_name)?;
-    if let Some(active) = active {
-        active.set_model(model_name);
-    }
+    trace.set_model(model_name);
     let examples: Vec<(Vec<u8>, usize)> = match (body.get("input"), body.get("examples")) {
         (Some(_), Some(_)) => {
             return Err(ServeError::BadRequest(
@@ -864,7 +809,7 @@ fn handle_train(
             ))
         }
     };
-    let outcome = entry.batcher().train_traced(examples, active.cloned())?;
+    let outcome = entry.batcher().train(examples, trace.clone())?;
     registry.metrics().on_train(outcome.applied);
     registry.metrics().on_latency(started.elapsed());
     Ok(Json::obj([
@@ -881,17 +826,15 @@ fn handle_train(
 fn handle_feedback(
     request: &Request,
     registry: &Registry,
-    active: Option<&Arc<ActiveTrace>>,
+    trace: &Trace,
 ) -> Result<Json, ServeError> {
     let started = Instant::now();
     let body = parse_body(request)?;
     let model_name = model_name(&body)?;
     let entry = registry.get(model_name)?;
-    if let Some(active) = active {
-        active.set_model(model_name);
-    }
+    trace.set_model(model_name);
     let (input, label) = decode_example(&body, "body")?;
-    let outcome = entry.batcher().feedback_traced(input, label, active.cloned())?;
+    let outcome = entry.batcher().feedback(input, label, trace.clone())?;
     registry.metrics().on_feedback(outcome.updated);
     registry.metrics().on_latency(started.elapsed());
     Ok(Json::obj([
@@ -997,7 +940,7 @@ mod tests {
     /// Routes a request and hands back the JSON-route shape the tests
     /// assert on (status, headers, body text).
     fn call(request: &Request, registry: &Registry) -> (u16, Vec<(String, String)>, String) {
-        let reply = route(request, registry, None);
+        let reply = route(request, registry, &Trace::off());
         (reply.status, reply.headers, String::from_utf8(reply.body).expect("text body"))
     }
 
@@ -1271,8 +1214,8 @@ mod tests {
     fn deltas_feed_serves_published_records_and_flags_resets() {
         let registry = registry_with_model();
         let entry = registry.get("default").unwrap();
-        entry.batcher().train(vec![(vec![128u8; 16], 0)]).unwrap();
-        entry.batcher().train(vec![(vec![64u8; 16], 1)]).unwrap();
+        entry.batcher().train(vec![(vec![128u8; 16], 0)], Trace::off()).unwrap();
+        entry.batcher().train(vec![(vec![64u8; 16], 1)], Trace::off()).unwrap();
 
         let (status, _h, body) = call(&get("/v1/deltas?model=default&from=0"), &registry);
         assert_eq!(status, 200, "{body}");
@@ -1307,9 +1250,9 @@ mod tests {
     fn export_streams_model_bytes_with_version_headers() {
         let registry = registry_with_model();
         let entry = registry.get("default").unwrap();
-        entry.batcher().train(vec![(vec![128u8; 16], 0)]).unwrap();
+        entry.batcher().train(vec![(vec![128u8; 16], 0)], Trace::off()).unwrap();
 
-        let reply = route(&get("/v1/export?model=default"), &registry, None);
+        let reply = route(&get("/v1/export?model=default"), &registry, &Trace::off());
         assert_eq!(reply.status, 200);
         assert_eq!(reply.content_type, "application/octet-stream");
         let header =
@@ -1330,7 +1273,7 @@ mod tests {
             );
         }
 
-        let reply = route(&get("/v1/export?model=nope"), &registry, None);
+        let reply = route(&get("/v1/export?model=nope"), &registry, &Trace::off());
         assert_eq!(reply.status, 404);
     }
 
@@ -1342,6 +1285,30 @@ mod tests {
         assert_ne!(addr.port(), 0);
         server.shutdown();
         server.shutdown(); // idempotent
+    }
+
+    #[test]
+    fn a_stage_entered_in_under_a_microsecond_still_counts() {
+        let registry = registry_with_model();
+        let trace = Trace::new("zero-head", true);
+        trace.record(Stage::HeadParse, 0);
+        let input = vec!["224"; 16].join(",");
+        let reply =
+            route(&post("/v1/predict", &format!("{{\"input\":[{input}]}}")), &registry, &trace);
+        assert_eq!(reply.status, 200);
+        registry.metrics().on_trace(&trace.finalize(reply.status, 10).unwrap());
+
+        let (_, _, body) = call(&get("/debug/traces?model=default"), &registry);
+        let doc = crate::json::parse(body.as_bytes()).unwrap();
+        let traces = doc.get("traces").and_then(Json::as_array).unwrap();
+        let stages = traces[0].get("stages").unwrap();
+        assert_eq!(stages.get("head_parse").and_then(Json::as_f64), Some(0.0), "{body}");
+        assert!(stages.get("execute").is_some(), "{body}");
+        assert!(stages.get("wal_append").is_none() && stages.get("publish").is_none(), "{body}");
+        let (_, _, text) = call(&get("/metrics?format=prometheus"), &registry);
+        let head = "hdc_stage_latency_us_count{model=\"default\",stage=\"head_parse\"} 1";
+        assert!(text.contains(head), "{text}");
+        assert!(!text.contains("stage=\"wal_append\"") && !text.contains("stage=\"publish\""));
     }
 
     #[test]

@@ -14,7 +14,11 @@
 //! A request's life is measured as **stage durations** (µs), one slot per
 //! [`Stage`]: head parse, body read, queue wait (enqueue → drain), the
 //! coalesced batch execute, WAL append + fsync, publish, and the reply
-//! write. Stages a request never enters stay zero. The *terminal stage*
+//! write. The record also keeps which stages the request entered, so a
+//! stage that took under 1 µs still shows, at 0; stages it never entered
+//! are absent. The request carries one [`Trace`] value from the socket
+//! through the batcher and back; when tracing is off that value is
+//! empty and every call on it does nothing. The *terminal stage*
 //! names where the request's story ended — `reply_write` for the happy
 //! path, or the fault that cut it short (`shed`, `queue_deadline`,
 //! `panic`, …) — which is what lets the soak harness assert every
@@ -28,7 +32,7 @@
 //! observes a half-written record — while writers on different slots
 //! never contend.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering::Relaxed};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering::Relaxed};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
@@ -91,83 +95,109 @@ fn terminal_index(name: &str) -> usize {
     TERMINALS.iter().position(|t| *t == name).unwrap_or(0)
 }
 
-/// A live, in-flight trace. Created when the request head starts parsing,
-/// carried through the batcher as `Arc<ActiveTrace>`, finalized into a
-/// [`TraceRecord`] after the reply is written.
-///
-/// All stage slots are relaxed atomics: single-writer per stage (the one
-/// thread executing that stage), many concurrent readers never observe it
-/// mid-update.
+/// A request's trace as the serving path carries it: the spans of one
+/// in-flight request when tracing is on, nothing when it is off. Every
+/// method is a no-op on an off trace, which allocates nothing, so traced
+/// and untraced requests run the same code. Clones share the spans: the
+/// HTTP layer, the batcher worker and the pool executors stamp one
+/// record, which [`finalize`](Self::finalize) freezes after the reply is
+/// written.
+#[derive(Debug, Clone, Default)]
+pub struct Trace(Option<Arc<Spans>>);
+
+/// The live state of an on [`Trace`]. Stage slots are relaxed atomics:
+/// each stage has one writer (the thread executing it), and readers
+/// never observe a slot mid-update.
 #[derive(Debug)]
-pub struct ActiveTrace {
+struct Spans {
     id: String,
     model: Mutex<String>,
-    started: Instant,
     stages: [AtomicU64; STAGE_COUNT],
+    /// Bit `i` is set once stage `i` is recorded, even at 0 µs.
+    entered: AtomicU32,
     terminal: AtomicUsize,
 }
 
-impl ActiveTrace {
-    /// Starts a trace with the given id (client-provided or generated).
-    pub fn new(id: String) -> Arc<Self> {
-        Arc::new(Self {
-            id,
-            model: Mutex::new(String::new()),
-            started: Instant::now(),
-            stages: std::array::from_fn(|_| AtomicU64::new(0)),
-            terminal: AtomicUsize::new(0),
-        })
+impl Trace {
+    /// A trace that records nothing.
+    pub const fn off() -> Self {
+        Trace(None)
     }
 
-    /// The trace id echoed in `X-Request-Id`.
-    pub fn id(&self) -> &str {
-        &self.id
+    /// Starts a trace with the given id (client-provided or generated)
+    /// when `enabled`, an off trace otherwise.
+    pub fn new(id: &str, enabled: bool) -> Self {
+        Trace(enabled.then(|| {
+            Arc::new(Spans {
+                id: id.to_owned(),
+                model: Mutex::new(String::new()),
+                stages: std::array::from_fn(|_| AtomicU64::new(0)),
+                entered: AtomicU32::new(0),
+                terminal: AtomicUsize::new(0),
+            })
+        }))
+    }
+
+    /// The trace id echoed in `X-Request-Id`, `None` when off.
+    pub fn id(&self) -> Option<&str> {
+        self.0.as_deref().map(|spans| spans.id.as_str())
     }
 
     /// Names the model this request resolved to (once known).
     pub fn set_model(&self, model: &str) {
-        let mut slot = self.model.lock().unwrap_or_else(PoisonError::into_inner);
-        if slot.is_empty() {
-            slot.push_str(model);
+        if let Some(spans) = &self.0 {
+            let mut slot = spans.model.lock().unwrap_or_else(PoisonError::into_inner);
+            if slot.is_empty() {
+                slot.push_str(model);
+            }
         }
     }
 
-    /// Records a stage's duration. Repeated records accumulate (a retried
-    /// per-job fallback adds to the same execute slot).
+    /// Records a stage's duration and marks the stage entered. Repeated
+    /// records accumulate (a retried per-job fallback adds to the same
+    /// execute slot).
     pub fn record(&self, stage: Stage, us: u64) {
-        self.stages[stage as usize].fetch_add(us, Relaxed);
+        if let Some(spans) = &self.0 {
+            spans.stages[stage as usize].fetch_add(us, Relaxed);
+            spans.entered.fetch_or(1 << stage as u32, Relaxed);
+        }
     }
 
-    /// Records a duration measured as an `Instant` pair.
+    /// Records a duration measured as an `Instant` pair, in whole µs.
     pub fn record_span(&self, stage: Stage, from: Instant, to: Instant) {
         self.record(stage, to.saturating_duration_since(from).as_micros() as u64);
+    }
+
+    /// Records `stage` as running from `from` until now; an off trace
+    /// does not read the clock.
+    pub fn record_since(&self, stage: Stage, from: Instant) {
+        if self.0.is_some() {
+            self.record_span(stage, from, Instant::now());
+        }
     }
 
     /// Marks the terminal stage — where this request's story ended. First
     /// writer wins: a shed or panic set by the batcher is never
     /// overwritten by the server's generic finalize.
     pub fn set_terminal(&self, name: &str) {
-        let index = terminal_index(name);
-        if index != 0 {
-            let _ = self.terminal.compare_exchange(0, index, Relaxed, Relaxed);
+        if let Some(spans) = &self.0 {
+            // Naming `reply_write` (index 0, the unset sentinel) is a no-op.
+            let _ = spans.terminal.compare_exchange(0, terminal_index(name), Relaxed, Relaxed);
         }
     }
 
-    /// Elapsed µs since the trace started.
-    pub fn elapsed_us(&self) -> u64 {
-        self.started.elapsed().as_micros() as u64
-    }
-
-    /// Freezes the trace into an immutable record.
-    pub fn finalize(&self, status: u16, total_us: u64) -> TraceRecord {
-        TraceRecord {
-            id: self.id.clone(),
-            model: self.model.lock().unwrap_or_else(PoisonError::into_inner).clone(),
+    /// Freezes the trace into an immutable record, `None` when off.
+    pub fn finalize(&self, status: u16, total_us: u64) -> Option<TraceRecord> {
+        let spans = self.0.as_deref()?;
+        Some(TraceRecord {
+            id: spans.id.clone(),
+            model: spans.model.lock().unwrap_or_else(PoisonError::into_inner).clone(),
             status,
             total_us,
-            stages: std::array::from_fn(|i| self.stages[i].load(Relaxed)),
-            terminal: TERMINALS[self.terminal.load(Relaxed)],
-        }
+            stages: std::array::from_fn(|i| spans.stages[i].load(Relaxed)),
+            entered: spans.entered.load(Relaxed),
+            terminal: TERMINALS[spans.terminal.load(Relaxed)],
+        })
     }
 }
 
@@ -186,6 +216,9 @@ pub struct TraceRecord {
     /// Per-stage durations in µs, indexed like [`STAGE_NAMES`]; stages
     /// the request never entered are zero.
     pub stages: [u64; STAGE_COUNT],
+    /// Bit `i` is set when the request entered stage `i`, so a stage that
+    /// took under 1 µs still counts (see [`entered_stages`](Self::entered_stages)).
+    pub entered: u32,
     /// Where the request ended: `reply_write`, or the fault that cut it
     /// short (`shed` / `queue_deadline` / `panic` / …).
     pub terminal: &'static str,
@@ -201,8 +234,18 @@ impl TraceRecord {
             status: 0,
             total_us,
             stages: [0; STAGE_COUNT],
+            entered: 0,
             terminal: TERMINALS[terminal_index(terminal)],
         }
+    }
+
+    /// The stages the request entered, in pipeline order, with their µs.
+    /// A stage recorded at 0 µs is entered; so is any stage with a
+    /// nonzero duration (records built by hand set only `stages`).
+    pub fn entered_stages(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        (0..STAGE_COUNT)
+            .filter(|&i| self.entered & (1 << i) != 0 || self.stages[i] > 0)
+            .map(|i| (i, self.stages[i]))
     }
 }
 
@@ -310,13 +353,13 @@ mod tests {
 
     #[test]
     fn finalize_captures_stages_and_terminal() {
-        let trace = ActiveTrace::new("abc".into());
+        let trace = Trace::new("abc", true);
         trace.set_model("default");
         trace.set_model("ignored-second-name");
         trace.record(Stage::QueueWait, 100);
         trace.record(Stage::Execute, 40);
         trace.record(Stage::Execute, 10); // accumulates
-        let record = trace.finalize(200, 200);
+        let record = trace.finalize(200, 200).unwrap();
         assert_eq!(record.id, "abc");
         assert_eq!(record.model, "default");
         assert_eq!(record.stages[Stage::QueueWait as usize], 100);
@@ -326,10 +369,31 @@ mod tests {
 
     #[test]
     fn first_terminal_wins() {
-        let trace = ActiveTrace::new("x".into());
+        let trace = Trace::new("x", true);
+        trace.set_terminal("reply_write");
         trace.set_terminal("shed");
         trace.set_terminal("panic");
-        assert_eq!(trace.finalize(503, 10).terminal, "shed");
+        assert_eq!(trace.finalize(503, 10).unwrap().terminal, "shed");
+    }
+
+    #[test]
+    fn a_stage_recorded_at_zero_us_is_entered() {
+        let trace = Trace::new("fast", true);
+        trace.record(Stage::HeadParse, 0);
+        trace.record(Stage::Execute, 7);
+        let record = trace.finalize(200, 7).unwrap();
+        let entered: Vec<(usize, u64)> = record.entered_stages().collect();
+        assert_eq!(entered, [(Stage::HeadParse as usize, 0), (Stage::Execute as usize, 7)]);
+    }
+
+    #[test]
+    fn an_off_trace_records_nothing() {
+        let trace = Trace::new("ignored", false);
+        trace.set_model("default");
+        trace.record(Stage::Execute, 5);
+        trace.set_terminal("panic");
+        assert_eq!(trace.id(), None);
+        assert_eq!(trace.finalize(200, 5), None);
     }
 
     #[test]

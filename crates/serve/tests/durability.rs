@@ -16,7 +16,7 @@
 use hdc::binary::BinaryClassifier;
 use hdc::prelude::*;
 use hdc::AnyModel;
-use hdc_serve::{BatchConfig, Metrics, Registry};
+use hdc_serve::{BatchConfig, Metrics, Registry, Trace};
 use std::fs;
 use std::io::BufWriter;
 use std::path::{Path, PathBuf};
@@ -82,9 +82,9 @@ fn apply_ops(registry: &Registry, range: std::ops::Range<usize>) {
     for i in range {
         let (img, label) = example(i);
         if i % 5 == 4 {
-            entry.batcher().feedback(img, label).expect("feedback op");
+            entry.batcher().feedback(img, label, Trace::off()).expect("feedback op");
         } else {
-            entry.batcher().train(vec![(img, label)]).expect("train op");
+            entry.batcher().train(vec![(img, label)], Trace::off()).expect("train op");
         }
     }
 }

@@ -14,6 +14,7 @@ use hdc_serve::client::Client;
 use hdc_serve::metrics::Metrics;
 use hdc_serve::registry::Registry;
 use hdc_serve::server::{Server, ServerConfig};
+use hdc_serve::trace::Trace;
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -118,7 +119,7 @@ fn explicit_batches_are_bit_identical_at_every_worker_count_and_dim() {
                 .get("default")
                 .unwrap()
                 .batcher()
-                .predict_batch_direct(inputs.clone(), None)
+                .predict_batch_direct(inputs.clone(), &Trace::off())
                 .unwrap();
             assert_eq!(batcher_answers.len(), direct.len());
             for (i, (actual, expected)) in batcher_answers.iter().zip(&direct).enumerate() {
@@ -155,7 +156,7 @@ fn coalesced_predictions_are_bit_identical_at_every_worker_count_and_dim() {
                     .map(|input| {
                         let batcher = entry.batcher();
                         let input = input.clone();
-                        scope.spawn(move || batcher.predict(input).unwrap())
+                        scope.spawn(move || batcher.predict(input, Trace::off()).unwrap())
                     })
                     .collect();
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -189,7 +190,7 @@ fn explicit_batch_error_semantics_match_direct_at_every_worker_count() {
             .get("default")
             .unwrap()
             .batcher()
-            .predict_batch_direct(inputs.clone(), None)
+            .predict_batch_direct(inputs.clone(), &Trace::off())
             .unwrap_err()
             .to_string();
         assert!(
@@ -227,7 +228,7 @@ fn coalesced_poisoned_input_fails_alone_at_every_worker_count() {
                 .map(|(i, input)| {
                     let batcher = entry.batcher();
                     let input = if i == 7 { vec![9u8; PIXELS + 3] } else { input.clone() };
-                    scope.spawn(move || batcher.predict(input))
+                    scope.spawn(move || batcher.predict(input, Trace::off()))
                 })
                 .collect();
             handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -276,7 +277,7 @@ fn injected_panic_in_sharded_batch_quarantines_alone_and_respawns_nothing() {
             .map(|(i, input)| {
                 let batcher = entry.batcher();
                 let input = if i == 13 { vec![PANIC_MARKER; PIXELS] } else { input.clone() };
-                scope.spawn(move || batcher.predict(input))
+                scope.spawn(move || batcher.predict(input, Trace::off()))
             })
             .collect();
         handles.into_iter().map(|h| h.join().unwrap()).collect()
@@ -307,7 +308,7 @@ fn injected_panic_in_sharded_batch_quarantines_alone_and_respawns_nothing() {
 
     // The affected executor must still be alive: the same pool answers a
     // fresh batch correctly after the panic.
-    let after = entry.batcher().predict_batch_direct(inputs.clone(), None).unwrap();
+    let after = entry.batcher().predict_batch_direct(inputs.clone(), &Trace::off()).unwrap();
     for (i, (actual, expected)) in after.iter().zip(&direct).enumerate() {
         assert_bit_identical(actual, expected, &format!("post-panic batch, input {i}"));
     }

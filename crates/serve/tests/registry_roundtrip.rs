@@ -9,6 +9,7 @@ use hdc::prelude::*;
 use hdc_serve::batcher::BatchConfig;
 use hdc_serve::metrics::Metrics;
 use hdc_serve::registry::Registry;
+use hdc_serve::trace::Trace;
 use std::fs::File;
 use std::io::BufWriter;
 use std::path::PathBuf;
@@ -104,7 +105,7 @@ fn registry_reload_is_bit_identical_on_a_query_batch() {
 
     // The coalescer serves the same answers as the direct model.
     for (i, query) in queries.iter().enumerate() {
-        let through_batcher = entry.batcher().predict(query.clone()).unwrap();
+        let through_batcher = entry.batcher().predict(query.clone(), Trace::off()).unwrap();
         assert_eq!(through_batcher.class, original[i].class, "query {i} via batcher");
     }
 
