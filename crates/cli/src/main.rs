@@ -9,10 +9,12 @@
 //!                 [--budget 1.0] [--count 100] [--seed 1234] [--csv records.csv] [--out-dir adv]
 //! hdtest-cli defend   --model model.hdc --images data/test-images.idx --out hardened.hdc
 //! hdtest-cli serve    --model model.hdc [--addr 127.0.0.1:8080] [--max-batch 64]
+//! hdtest-cli repro    table2 [--scale quick|full]
 //! ```
 
 mod args;
 mod commands;
+mod repro;
 
 use args::Args;
 use std::process::ExitCode;
@@ -67,6 +69,11 @@ COMMANDS:
               dispatch tier (default: best supported; also settable via
               HDC_KERNEL_BACKEND). An unsupported tier warns and falls
               back to portable rather than failing startup]
+  repro      print one of the paper's tables or figures, computed on the
+             synthetic-digit testbed (accuracy, table2, fig7, guided,
+             defense, samples, biterrors, differential, budget, compound,
+             topn, vulnerable; samples also writes PGMs under out/figures)
+             <table> [--scale quick|full]
 
 Every run is deterministic given its seeds.";
 
@@ -136,6 +143,7 @@ fn main() -> ExitCode {
         )
         .map_err(Into::into)
         .and_then(commands::serve),
+        "repro" => repro::repro(rest),
         "help" | "--help" | "-h" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;

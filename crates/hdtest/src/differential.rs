@@ -224,7 +224,7 @@ mod tests {
         // encoder/data are the *same function*. Cross-model fuzzing must
         // therefore exhaust without a discrepancy; quantization bugs only
         // appear across genuinely different configurations (see the
-        // dimension test above and `exp_differential`).
+        // dimension test above and `hdtest::repro::differential`).
         let dense = train_dense(2_000);
         let binary = train_binary(2_000);
         let strategy = GaussNoise::default();

@@ -25,6 +25,7 @@
 //!   the Table II / Fig. 7 statistics.
 //! * [`defense`] — the §V-D adversarial-retraining case study.
 //! * [`corpus`] — storage for generated adversarial examples.
+//! * [`repro`] — the paper's tables and figures, one function each.
 //!
 //! ## Quick example
 //!
@@ -72,6 +73,7 @@ pub mod minimize;
 pub mod model;
 pub mod mutation;
 pub mod report;
+pub mod repro;
 pub mod stats;
 
 pub use analysis::{pearson, spearman, VulnerabilityRecord, VulnerabilityReport};

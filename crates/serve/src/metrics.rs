@@ -670,7 +670,8 @@ enum Kind {
 enum Buckets {
     /// Power-of-two µs (see [`latency_bucket_index`]). JSON `le_us` is
     /// the exclusive bound 2^(i+1); Prometheus `le` is 2^(i+1) - 1, the
-    /// same edge for integral µs.
+    /// same edge for integral µs. The last bucket is open: JSON labels it
+    /// `"+Inf"` and Prometheus folds it into `+Inf`.
     Micros,
     /// Exact sizes: bucket `i` holds `i + 1`, the last everything larger.
     /// JSON labels the last `"N+"`; Prometheus folds it into `+Inf`.
@@ -948,6 +949,7 @@ impl Buckets {
         let last = counts.len() - 1;
         let buckets = counts.iter().enumerate().filter(|&(_, &n)| n > 0).map(|(i, &n)| {
             let (key, bound) = match self {
+                Buckets::Micros if i == last => ("le_us", Json::from("+Inf")),
                 Buckets::Micros => ("le_us", Json::from(latency_bucket_bound_us(i))),
                 Buckets::Sizes if i == last => ("size", Json::from(format!("{}+", i + 1))),
                 Buckets::Sizes => ("size", Json::from((i + 1).to_string())),
@@ -1041,12 +1043,8 @@ fn emit_prometheus(rows: &[(&'static Row, Vec<Series>)]) -> String {
         };
         let mut samples = String::new();
         for Series { labels, sample } in series {
-            let pairs: Vec<String> = row
-                .labels
-                .iter()
-                .zip(labels)
-                .map(|(name, value)| format!("{name}=\"{value}\""))
-                .collect();
+            let pairs: Vec<String> =
+                row.labels.iter().zip(labels).map(|(name, value)| label(name, value)).collect();
             let mut line = |suffix: &str, extra: Option<String>, value: &dyn std::fmt::Display| {
                 let all: Vec<&str> =
                     pairs.iter().map(String::as_str).chain(extra.as_deref()).collect();
@@ -1059,7 +1057,7 @@ fn emit_prometheus(rows: &[(&'static Row, Vec<Series>)]) -> String {
                 Sample::Flag(flag) => line("", None, &u8::from(*flag)),
                 Sample::Text(text) => {
                     let name = row.labels.last().expect("an info row names its label");
-                    line("", Some(format!("{name}=\"{text}\"")), &1)
+                    line("", Some(label(name, text)), &1)
                 }
                 Sample::Real(_) | Sample::Unknown => {}
                 Sample::Hist(counts, sum) => {
@@ -1073,18 +1071,19 @@ fn emit_prometheus(rows: &[(&'static Row, Vec<Series>)]) -> String {
                         continue;
                     }
                     // A labelled family (a series per model and stage)
-                    // prints only its non-empty buckets and the last.
+                    // prints only its non-empty buckets. The open last
+                    // bucket is `+Inf`'s.
                     let sparse = !pairs.is_empty();
                     let last = counts.len() - 1;
                     let mut total = 0;
                     for (i, &n) in counts.iter().enumerate() {
                         total += n;
                         let le = match buckets {
-                            Buckets::Sizes if i == last => continue,
+                            _ if i == last => continue,
                             Buckets::Sizes => i as u64 + 1,
                             _ => latency_bucket_bound_us(i) - 1,
                         };
-                        if !sparse || n > 0 || i == last {
+                        if !sparse || n > 0 {
                             line("_bucket", Some(format!("le=\"{le}\"")), &total);
                         }
                     }
@@ -1102,6 +1101,13 @@ fn emit_prometheus(rows: &[(&'static Row, Vec<Series>)]) -> String {
         }
     }
     out
+}
+
+/// A Prometheus label pair, its value escaped as text format 0.0.4 asks:
+/// `\`, `"` and newline.
+fn label(name: &str, value: &str) -> String {
+    let value = value.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n");
+    format!("{name}=\"{value}\"")
 }
 
 /// A field from `/proc/self/status`, in kB — `None` off Linux or when the
@@ -1450,9 +1456,10 @@ mod tests {
         let mut counts = vec![0; len];
         for bucket in hist.as_array().expect("a bucket array") {
             let index = match buckets {
-                Buckets::Micros => {
-                    bucket.get("le_us").unwrap().as_f64().unwrap().log2() as usize - 1
-                }
+                Buckets::Micros => match bucket.get("le_us").unwrap() {
+                    Json::Str(open) if open == "+Inf" => len - 1,
+                    le => le.as_f64().unwrap().log2() as usize - 1,
+                },
                 Buckets::Depths => {
                     bucket.get("lt_depth").unwrap().as_f64().unwrap().log2() as usize
                 }
@@ -1561,12 +1568,8 @@ mod tests {
             assert_eq!(row.kind == Kind::Derived, DERIVED.contains(&row.json), "{}", row.json);
             assert!(!read.is_empty(), "{} has no series", row.json);
             for Series { labels, sample } in read {
-                let mut pairs: Vec<String> = row
-                    .labels
-                    .iter()
-                    .zip(labels)
-                    .map(|(name, value)| format!("{name}=\"{value}\""))
-                    .collect();
+                let mut pairs: Vec<String> =
+                    row.labels.iter().zip(labels).map(|(name, value)| label(name, value)).collect();
                 // A histogram with a sum shares its path with its siblings.
                 let in_json = match row.kind {
                     Kind::Histogram(_, Some(_)) => None,
@@ -1598,9 +1601,8 @@ mod tests {
                     }
                     Sample::Text(text) => {
                         assert_eq!(in_json.as_ref().and_then(Json::as_str), Some(text.as_str()));
-                        let name = row.labels.last().unwrap();
-                        let label = format!("{name}=\"{text}\"");
-                        assert_eq!(in_prom("", &[label]), Some("1".to_owned()), "{where_}");
+                        let info = label(row.labels.last().unwrap(), text);
+                        assert_eq!(in_prom("", &[info]), Some("1".to_owned()), "{where_}");
                     }
                     Sample::Unknown => assert_eq!(in_json, Some(Json::Null), "{where_}"),
                     Sample::Real(_) => unreachable!("only derived rows are real"),
@@ -1640,14 +1642,14 @@ mod tests {
                             let mut below = 0;
                             for (i, n) in from_prom.iter_mut().enumerate() {
                                 let le = match buckets {
-                                    Buckets::Sizes if i + 1 == counts.len() => None,
+                                    _ if i + 1 == counts.len() => None,
                                     Buckets::Sizes => Some(i as u64 + 1),
                                     _ => Some(latency_bucket_bound_us(i) - 1),
                                 };
                                 let cumulative = match le {
                                     Some(le) => in_prom("_bucket", &[format!("le=\"{le}\"")])
                                         .map(|v| v.parse::<u64>().unwrap()),
-                                    None => Some(total), // the last size bucket is +Inf's
+                                    None => Some(total), // the open last bucket is +Inf's
                                 };
                                 if let Some(cumulative) = cumulative {
                                     *n = cumulative - below;
@@ -1670,6 +1672,47 @@ mod tests {
         distinct.dedup();
         assert_eq!(distinct.len(), numbers.len(), "values repeat: {numbers:?}");
         assert!(!numbers.contains(&0), "{numbers:?}");
+    }
+
+    #[test]
+    fn label_values_are_escaped_and_read_back() {
+        let names = ["a\"b\\c", "line\nbreak"];
+        let m = Metrics::new();
+        let models = names.iter().map(|name| (name.to_string(), 3, 1)).collect();
+        let text = Scrape { metrics: &m, models, replica: None }.prometheus();
+
+        let checker = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts/check_prom_text.py");
+        let mut child = std::process::Command::new("python3")
+            .arg(checker)
+            .stdin(std::process::Stdio::piped())
+            .stdout(std::process::Stdio::null())
+            .spawn()
+            .expect("python3 runs the exposition checker");
+        std::io::Write::write_all(child.stdin.as_mut().unwrap(), text.as_bytes()).unwrap();
+        assert!(child.wait().unwrap().success(), "the checker rejects:\n{text}");
+
+        // Unescaping each version gauge's label gives the model names back.
+        let mut read_back: Vec<String> = text
+            .lines()
+            .filter_map(|line| line.strip_prefix("hdc_model_version{model=\""))
+            .map(|rest| {
+                let (value, _) = rest.rsplit_once("\"}").expect("a closed label");
+                let mut name = String::new();
+                let mut chars = value.chars();
+                while let Some(c) = chars.next() {
+                    name.push(match c {
+                        '\\' => match chars.next().expect("an escaped character") {
+                            'n' => '\n',
+                            other => other,
+                        },
+                        c => c,
+                    });
+                }
+                name
+            })
+            .collect();
+        read_back.sort();
+        assert_eq!(read_back, names);
     }
 
     #[test]

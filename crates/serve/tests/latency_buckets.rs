@@ -118,3 +118,25 @@ fn histogram_quantiles_err_by_at_most_one_bucket() {
         }
     }
 }
+
+#[test]
+fn a_sample_past_the_last_edge_counts_only_under_inf() {
+    // 20 s is past 2^24 µs, the nominal bound of the open last bucket.
+    let metrics = Metrics::new();
+    metrics.on_latency(Duration::from_micros(20_000_000));
+    let text = metrics.scrape().prometheus();
+    let buckets: Vec<&str> =
+        text.lines().filter(|line| line.starts_with("hdc_request_latency_us_bucket")).collect();
+    let (inf, finite) = buckets.split_last().expect("latency buckets");
+    assert_eq!(*inf, "hdc_request_latency_us_bucket{le=\"+Inf\"} 1");
+    assert_eq!(finite.len(), LATENCY_BUCKETS - 1, "{text}");
+    assert!(finite.iter().all(|line| line.ends_with("} 0")), "{text}");
+
+    let json = metrics.scrape().json();
+    let hist = json.get("latency_us").and_then(|l| l.get("hist")).and_then(|h| h.as_array());
+    let [bucket] = hist.expect("a latency histogram") else { panic!("one bucket: {json}") };
+    assert_eq!(bucket.get("le_us").and_then(|le| le.as_str()), Some("+Inf"));
+    assert_eq!(bucket.get("count").and_then(|n| n.as_f64()), Some(1.0));
+    // Quantiles keep the open bucket's nominal bound.
+    assert_eq!(metrics.latency_quantile_us(0.5), latency_bucket_bound_us(LATENCY_BUCKETS - 1));
+}
